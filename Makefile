@@ -1,10 +1,10 @@
-# Developer entry points. `make check` is the pre-commit gate: it runs
-# everything CI would, including the deterministic fault-injection smoke
-# campaign described in docs/robustness.md.
+# Developer entry points. `make check` is the pre-commit gate; it runs
+# scripts/check.sh, which lists every gate once. The smoke/golden/... targets
+# below run single gates for quick one-off checks.
 
 GO ?= go
 
-.PHONY: all build fmt vet test test-race test-race-hot test-short smoke chaos-smoke golden skip-smoke fuzz-smoke ui-smoke sample-smoke cover check bench bench-all bench-check profile clean
+.PHONY: all build fmt vet test test-race test-short smoke golden skip-smoke fuzz-smoke ui-smoke sample-smoke cover check bench bench-all bench-check profile clean
 
 all: build
 
@@ -27,16 +27,6 @@ test:
 test-race:
 	$(GO) test -race ./...
 
-# Explicit race gate for the concurrency-heavy packages: the core machinery
-# that sweep workers reuse (Machine.Reset), the parallel sweep engine, the
-# parallel fault campaign, and the HTTP simulation server (whose load test
-# hammers the cache/singleflight/drain paths from many goroutines). A
-# subset of test-race, listed separately so the pre-commit gate names the
-# concurrency coverage; Go's test cache makes running both nearly free.
-test-race-hot:
-	$(GO) vet ./internal/core/ ./internal/harness/ ./internal/faultinject/ ./internal/server/ ./internal/coord/
-	$(GO) test -race ./internal/core/ ./internal/harness/ ./internal/faultinject/ ./internal/server/ ./internal/coord/
-
 # Quick loop: skips the long fault-injection and full-kernel paths.
 test-short:
 	$(GO) test -short ./...
@@ -46,20 +36,11 @@ test-short:
 smoke:
 	$(GO) run ./cmd/vpir-faults -seed 1 -campaign smoke
 
-# Service-layer chaos drill, race-enabled: workers behind fault-injecting
-# proxies (drops, 503s, truncation, delays, body corruption) with one
-# worker killed and revived mid-sweep, plus the durable-store restart and
-# corruption-recovery scenarios. The merged distributed output must stay
-# byte-identical to a serial single-server run throughout. See
-# docs/distributed.md for the failure taxonomy these tests enact.
-chaos-smoke:
-	$(GO) test -race -run 'TestChaos|TestDurableStore|TestAllBackendsDown|TestHedgedStragglers' -count 1 ./internal/coord/
-
 # Golden-result corpus: every benchmark x every registered technique
 # against the snapshots in testdata/golden (the cell list auto-enumerates
 # the technique registry, and a completeness check fails any registered
 # name without a committed snapshot). Runs inside `make test` too; this target
-# names it for the pre-commit gate and for quick one-off checks. After a
+# names it for quick one-off checks. After a
 # deliberate core change, regenerate with:
 #   $(GO) test -run TestGoldenCorpus -update . && git diff testdata/golden
 golden:
@@ -103,8 +84,8 @@ cover:
 	echo "total coverage: $$total%"; \
 	awk -v t="$$total" 'BEGIN { if (t+0 < 75) { print "cover: $$total% is below the 75% floor"; exit 1 } }'
 
-check: fmt vet build test-race-hot test-race smoke chaos-smoke golden skip-smoke fuzz-smoke ui-smoke sample-smoke
-	@echo "check: all gates passed"
+check:
+	sh scripts/check.sh
 
 # Simulator throughput benchmarks, recorded as the perf baseline: the text
 # goes to BENCH_baseline.txt (benchstat-compatible) and a JSONL rendering

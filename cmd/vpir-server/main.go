@@ -36,7 +36,6 @@ import (
 	"syscall"
 	"time"
 
-	"github.com/vpir-sim/vpir/internal/resultstore"
 	"github.com/vpir-sim/vpir/internal/server"
 )
 
@@ -54,21 +53,11 @@ func run() int {
 	sweepWorkers := flag.Int("sweep-parallel", 0, "harness workers per sweep request (0 = GOMAXPROCS)")
 	sweepCells := flag.Int("sweep-cells", server.DefaultMaxSweepCells, "largest benches x configs grid per sweep request")
 	heartbeat := flag.Duration("heartbeat", server.DefaultHeartbeat, "sweep-stream heartbeat interval (negative disables)")
-	storeDir := flag.String("store", "", "directory for the durable content-addressed result store (empty disables)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight requests")
 	pprofOn := flag.Bool("pprof", false, "expose /debug/pprof/ profiling endpoints")
 	accessLog := flag.Bool("access-log", true, "write JSON access-log lines to stderr")
 	flag.Parse()
 
-	var store *resultstore.Store
-	if *storeDir != "" {
-		var err error
-		store, err = resultstore.Open(*storeDir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "vpir-server:", err)
-			return 1
-		}
-	}
 	s := server.New(server.Config{
 		Workers:          *workers,
 		CacheEntries:     *cache,
@@ -78,7 +67,6 @@ func run() int {
 		SweepParallelism: *sweepWorkers,
 		MaxSweepCells:    *sweepCells,
 		Heartbeat:        *heartbeat,
-		Store:            store,
 	})
 	var logw io.Writer
 	if *accessLog {

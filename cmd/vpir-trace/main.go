@@ -7,7 +7,6 @@
 //
 //	vpir-trace -bench compress -tech ir -n 40
 //	vpir-trace -file prog.s -tech vp -scheme magic -n 60
-//	vpir-trace -bench go -tech base -skip 1000
 package main
 
 import (

@@ -8,7 +8,6 @@ package server
 
 import (
 	"github.com/vpir-sim/vpir/internal/core"
-	"github.com/vpir-sim/vpir/internal/sample"
 	"github.com/vpir-sim/vpir/internal/technique"
 )
 
@@ -77,34 +76,16 @@ type RunRequest struct {
 	Sample *SampleBlock `json:"sample,omitempty"`
 }
 
-// SweepRequest is the body of POST /v1/sweep: either the cross product of
-// benchmarks and configurations, or an explicit cell list (the form the
-// distributed coordinator uses to hand a worker its partition — a hash
-// partition of a grid is not itself a grid). The two forms are mutually
-// exclusive. The response is NDJSON, one SweepLine per cell in
-// deterministic cell order (bench-major for grids, list order for explicit
-// cells), streamed as cells complete, with '#'-prefixed heartbeat comment
-// lines interleaved while cells compute.
+// SweepRequest is the body of POST /v1/sweep: the cross product of
+// benchmarks and configurations. The response is NDJSON, one SweepLine per
+// cell in deterministic bench-major order, streamed as cells complete, with
+// '#'-prefixed heartbeat comment lines interleaved while cells compute.
 type SweepRequest struct {
-	Benches  []string        `json:"benches,omitempty"`
-	Options  []SimOptions    `json:"options,omitempty"`
-	Cells    []SweepCellSpec `json:"cells,omitempty"`
-	Scale    int             `json:"scale,omitempty"`
-	MaxInsts uint64          `json:"max_insts,omitempty"`
-	// Sample, at the request level, samples every cell under this plan
-	// (interval_index is not valid here); per-cell blocks on explicit Cells
-	// override it.
-	Sample *SampleBlock `json:"sample,omitempty"`
-}
-
-// SweepCellSpec names one explicit sweep cell: a benchmark under a
-// configuration, optionally narrowed to one sampled interval.
-type SweepCellSpec struct {
-	Bench   string     `json:"bench"`
-	Options SimOptions `json:"options"`
-	// Sample samples this cell; with IntervalIndex set the cell simulates
-	// exactly one interval of the plan and its SweepLine carries the
-	// per-interval measurement for client-side stitching.
+	Benches  []string     `json:"benches,omitempty"`
+	Options  []SimOptions `json:"options,omitempty"`
+	Scale    int          `json:"scale,omitempty"`
+	MaxInsts uint64       `json:"max_insts,omitempty"`
+	// Sample samples every cell of the sweep under this plan.
 	Sample *SampleBlock `json:"sample,omitempty"`
 }
 
@@ -140,11 +121,7 @@ type SimStats struct {
 	MeanBranchResolveLatency float64 `json:"mean_branch_resolve_latency"`
 }
 
-// StatsFrom renders one simulation's counters in wire form; the
-// coordinator uses it to synthesize sweep lines from locally executed
-// cells that are byte-identical to worker-produced ones.
-func StatsFrom(cfg core.Config, s core.Stats) SimStats { return statsFrom(cfg, s) }
-
+// statsFrom renders one simulation's counters in wire form.
 func statsFrom(cfg core.Config, s core.Stats) SimStats {
 	rp, rm := s.VPResultRates()
 	ap, am := s.VPAddrRates()
@@ -200,22 +177,12 @@ type SweepLine struct {
 	Stats  *SimStats `json:"stats,omitempty"`
 	Error  string    `json:"error,omitempty"`
 
-	// Raw carries the cell's raw counters for sampled cells (SimStats holds
-	// only derived metrics, and stitching needs the counters): the interval's
-	// own statistics for interval cells, the stitched whole-program counters
-	// for whole-plan cells.
-	Raw *core.Stats `json:"raw,omitempty"`
-	// Interval is the full per-interval measurement of an interval cell
-	// (sample.interval_index set); a client stitches these, in index order,
-	// into whole-program estimates.
-	Interval *sample.IntervalResult `json:"interval,omitempty"`
-	// Sample is the stitched summary of a whole-plan sampled cell.
+	// Sample is the stitched summary of a sampled cell.
 	Sample *SampleResult `json:"sample,omitempty"`
 	// Attempts audits retries on sampled and failed cells: 0 = served from
 	// the runner's cache, 1 = first-try success, n > 1 = n−1 transient
-	// failures were retried before this result. Hedged/retried interval
-	// cells are thereby attributable; plain successful cells omit it so
-	// their lines keep the pre-sampling byte shape.
+	// failures were retried before this result. Plain successful cells omit
+	// it so their lines keep the pre-sampling byte shape.
 	Attempts int `json:"attempts,omitempty"`
 
 	Done   bool `json:"done,omitempty"`

@@ -2,9 +2,10 @@ package server
 
 import (
 	"encoding/json"
-	"fmt"
 	"reflect"
 	"testing"
+
+	"github.com/vpir-sim/vpir/internal/core"
 )
 
 // optionVariants enumerates, per SimOptions field, values that must map to
@@ -38,11 +39,10 @@ var optionVariants = map[string][]SimOptions{
 
 // TestSimOptionsKeyCoverage is the wire-level companion of the core
 // package's reflective Config.Key test: every SimOptions field must (a)
-// survive a JSON round-trip unchanged — the coordinator re-marshals specs
-// when partitioning, so a lossy field would silently collapse distinct
-// cells — and (b) produce distinct Config.Key values across its variants,
-// so the result cache, the durable store, and rendezvous routing can
-// never alias two different experiments.
+// survive a JSON round-trip unchanged — clients build requests from decoded
+// responses, so a lossy field would silently collapse distinct
+// configurations — and (b) produce distinct Config.Key values across its
+// variants, so the result cache can never alias two different experiments.
 func TestSimOptionsKeyCoverage(t *testing.T) {
 	typ := reflect.TypeOf(SimOptions{})
 	for i := 0; i < typ.NumField(); i++ {
@@ -79,30 +79,30 @@ func TestSimOptionsKeyCoverage(t *testing.T) {
 	}
 }
 
-// TestCellIdentityKeyShape pins the full cell identity the fabric routes,
-// caches and stores by: bench, scale and instruction budget must all
+// TestCellIdentityKeyShape pins the full run identity the result cache
+// keys on: bench, scale, instruction budget and sampling plan must all
 // contribute, on top of the config key coverage proven above.
 func TestCellIdentityKeyShape(t *testing.T) {
-	base := cacheKey(t, "vortex", 1, 20_000, SimOptions{})
+	base, ir := mustConfig(t, SimOptions{}), mustConfig(t, SimOptions{Technique: "ir"})
+	key := runKey("vortex", 1, 20_000, base, nil)
 	for name, other := range map[string]string{
-		"bench":     cacheKey(t, "compress", 1, 20_000, SimOptions{}),
-		"scale":     cacheKey(t, "vortex", 2, 20_000, SimOptions{}),
-		"max_insts": cacheKey(t, "vortex", 1, 30_000, SimOptions{}),
-		"options":   cacheKey(t, "vortex", 1, 20_000, SimOptions{Technique: "ir"}),
+		"bench":     runKey("compress", 1, 20_000, base, nil),
+		"scale":     runKey("vortex", 2, 20_000, base, nil),
+		"max_insts": runKey("vortex", 1, 30_000, base, nil),
+		"options":   runKey("vortex", 1, 20_000, ir, nil),
+		"sample":    runKey("vortex", 1, 20_000, base, &SampleBlock{Interval: 5_000}),
 	} {
-		if other == base {
-			t.Errorf("cell identity ignores %s: %q", name, base)
+		if other == key {
+			t.Errorf("run identity ignores %s: %q", name, key)
 		}
 	}
 }
 
-// cacheKey mirrors the identity spelling in handleRun and the
-// coordinator's cellTask: bench|scale|max_insts|Config.Key.
-func cacheKey(t *testing.T, bench string, scale int, maxInsts uint64, o SimOptions) string {
+func mustConfig(t *testing.T, o SimOptions) core.Config {
 	t.Helper()
 	cfg, err := o.Config()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fmt.Sprintf("%s|%d|%d|%s", bench, scale, maxInsts, cfg.Key())
+	return cfg
 }

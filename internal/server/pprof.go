@@ -6,9 +6,9 @@ import (
 )
 
 // WithPprof mounts the runtime profiling endpoints under /debug/pprof/ in
-// front of next. This is opt-in (the -pprof flag on vpir-server and
-// vpir-coord): the endpoints expose goroutine stacks and heap contents, so
-// deployments keep them off unless actively profiling.
+// front of next. This is opt-in (vpir-server's -pprof flag): the endpoints
+// expose goroutine stacks and heap contents, so deployments keep them off
+// unless actively profiling.
 func WithPprof(next http.Handler) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)

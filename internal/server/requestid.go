@@ -11,7 +11,7 @@ import (
 )
 
 // RequestIDHeader carries the correlation id. Inbound values (e.g. minted
-// by the coordinator, or a client's own tracing layer) are accepted after
+// by a reverse proxy, or a client's own tracing layer) are accepted after
 // sanitization so one id follows a request across hops; absent or invalid
 // values are replaced with a fresh one.
 const RequestIDHeader = "X-Request-ID"
@@ -97,9 +97,7 @@ type accessLine struct {
 // WithRequestID wraps a handler with request-id assignment and (when logw
 // is non-nil) structured JSON access logging. The id is placed on the
 // response header before the wrapped handler runs, so error bodies (via
-// writeError) and success responses both carry it; it is also set on the
-// request header so proxy code (the coordinator) forwards the same id
-// downstream.
+// writeError) and success responses both carry it.
 func WithRequestID(next http.Handler, logw io.Writer) http.Handler {
 	var mu sync.Mutex
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -107,7 +105,6 @@ func WithRequestID(next http.Handler, logw io.Writer) http.Handler {
 		if id == "" {
 			id = NewRequestID()
 		}
-		r.Header.Set(RequestIDHeader, id)
 		w.Header().Set(RequestIDHeader, id)
 		aw := &accessWriter{ResponseWriter: w}
 		start := time.Now()

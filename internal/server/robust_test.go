@@ -10,8 +10,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"github.com/vpir-sim/vpir/internal/resultstore"
 )
 
 // sweepBody posts a sweep request and returns the raw NDJSON stream.
@@ -35,64 +33,6 @@ func sweepBody(t *testing.T, url string, req SweepRequest) []byte {
 		t.Fatal(err)
 	}
 	return raw
-}
-
-func TestSweepExplicitCells(t *testing.T) {
-	_, ts := testServer(t, Config{})
-	// The cell list deliberately repeats a bench and reorders configs —
-	// shapes a grid can't express.
-	req := SweepRequest{
-		Cells: []SweepCellSpec{
-			{Bench: "gcc", Options: SimOptions{Technique: "ir"}},
-			{Bench: "vortex", Options: SimOptions{}},
-			{Bench: "gcc", Options: SimOptions{}},
-		},
-		MaxInsts: 10_000,
-	}
-	raw := sweepBody(t, ts.URL, req)
-	var lines []SweepLine
-	sc := bufio.NewScanner(bytes.NewReader(raw))
-	for sc.Scan() {
-		if strings.HasPrefix(sc.Text(), "#") {
-			continue
-		}
-		var l SweepLine
-		if err := json.Unmarshal(sc.Bytes(), &l); err != nil {
-			t.Fatalf("bad line %q: %v", sc.Text(), err)
-		}
-		lines = append(lines, l)
-	}
-	if len(lines) != 4 {
-		t.Fatalf("got %d lines, want 4 (3 cells + done)", len(lines))
-	}
-	wantBench := []string{"gcc", "vortex", "gcc"}
-	wantCfg := []string{"IR", "base", "base"}
-	for i, l := range lines[:3] {
-		if l.Index != i || l.Bench != wantBench[i] || l.Config != wantCfg[i] {
-			t.Errorf("line %d = %d/%s/%s, want %d/%s/%s", i, l.Index, l.Bench, l.Config, i, wantBench[i], wantCfg[i])
-		}
-		if l.Stats == nil || l.Stats.IPC <= 0 {
-			t.Errorf("cell %d missing stats: %+v", i, l)
-		}
-	}
-	if !lines[3].Done || lines[3].Cells != 3 {
-		t.Errorf("done line = %+v", lines[3])
-	}
-
-	// Mixing forms is rejected.
-	body, _ := json.Marshal(SweepRequest{
-		Benches: []string{"gcc"},
-		Options: []SimOptions{{}},
-		Cells:   []SweepCellSpec{{Bench: "gcc"}},
-	})
-	resp, err := http.Post(ts.URL+"/v1/sweep", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("mixed-form status = %d, want 400", resp.StatusCode)
-	}
 }
 
 func TestSweepHeartbeats(t *testing.T) {
@@ -201,53 +141,5 @@ func TestDrainRetryAfter(t *testing.T) {
 		if ra := resp.Header.Get("Retry-After"); ra != retryAfterSeconds {
 			t.Errorf("%s Retry-After = %q, want %q", path, ra, retryAfterSeconds)
 		}
-	}
-}
-
-func TestRunStoreBacksLRU(t *testing.T) {
-	dir := t.TempDir()
-	store, err := resultstore.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1, ts1 := testServer(t, Config{Store: store})
-	req := RunRequest{Bench: "vortex", MaxInsts: 12_000, Options: SimOptions{Technique: "ir"}}
-
-	resp, body := postRun(t, ts1.URL, req)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d, body %s", resp.StatusCode, body)
-	}
-	if got := resp.Header.Get("X-Cache"); got != "MISS" {
-		t.Errorf("first X-Cache = %q", got)
-	}
-	if s1.Metrics().Counter("server.store.puts") != 1 {
-		t.Errorf("store.puts = %d, want 1", s1.Metrics().Counter("server.store.puts"))
-	}
-
-	// A "restarted" server — fresh process state, same store directory —
-	// serves the repeat from disk, byte-identically, without simulating.
-	store2, err := resultstore.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, ts2 := testServer(t, Config{Store: store2})
-	resp2, body2 := postRun(t, ts2.URL, req)
-	if got := resp2.Header.Get("X-Cache"); got != "STORE" {
-		t.Fatalf("restarted X-Cache = %q, want STORE", got)
-	}
-	if !bytes.Equal(body, body2) {
-		t.Errorf("store body differs from computed body:\n%s\n%s", body, body2)
-	}
-	if s2.Metrics().Counter("server.store.hits") != 1 {
-		t.Errorf("store.hits = %d, want 1", s2.Metrics().Counter("server.store.hits"))
-	}
-	// The store hit was promoted into the LRU: a third request is a plain
-	// HIT without touching disk again.
-	resp3, body3 := postRun(t, ts2.URL, req)
-	if got := resp3.Header.Get("X-Cache"); got != "HIT" {
-		t.Errorf("third X-Cache = %q, want HIT", got)
-	}
-	if !bytes.Equal(body, body3) {
-		t.Error("LRU-promoted body differs")
 	}
 }

@@ -1,19 +1,13 @@
 package server
 
 import (
-	"context"
 	"fmt"
 
-	"github.com/vpir-sim/vpir/internal/core"
-	"github.com/vpir-sim/vpir/internal/harness"
 	"github.com/vpir-sim/vpir/internal/sample"
 )
 
 // SampleBlock is the wire form of a checkpointed-sampling plan (see
-// docs/sampling.md). On /v1/run and at the top level of /v1/sweep it samples
-// the whole program; on an explicit sweep cell an IntervalIndex narrows the
-// cell to one interval of the plan — the form the distributed coordinator
-// uses to fan a sampled run's intervals across machines.
+// docs/sampling.md). On /v1/run and /v1/sweep it samples the whole program.
 type SampleBlock struct {
 	// Interval is the measured interval length in dynamic instructions
 	// (required, > 0).
@@ -24,9 +18,6 @@ type SampleBlock struct {
 	// Warmup is the detailed-warmup instruction count before each measured
 	// interval; warmup statistics are discarded.
 	Warmup uint64 `json:"warmup,omitempty"`
-	// IntervalIndex, when present, names one interval of the plan (≥ 0).
-	// Only valid on explicit sweep cells.
-	IntervalIndex *int `json:"interval_index,omitempty"`
 }
 
 // Plan converts the block to the internal sampling plan.
@@ -36,48 +27,11 @@ func (b *SampleBlock) Plan() sample.Plan {
 
 // Validate rejects malformed blocks with messages precise enough for a
 // structured 400.
-func (b *SampleBlock) Validate(allowIndex bool) error {
+func (b *SampleBlock) Validate() error {
 	if b.Interval == 0 {
 		return fmt.Errorf("sample.interval must be a positive instruction count")
 	}
-	if err := b.Plan().Validate(); err != nil {
-		return err
-	}
-	if b.IntervalIndex != nil {
-		if !allowIndex {
-			return fmt.Errorf("sample.interval_index is only valid on explicit sweep cells")
-		}
-		if *b.IntervalIndex < 0 {
-			return fmt.Errorf("sample.interval_index must be >= 0, got %d", *b.IntervalIndex)
-		}
-	}
-	return nil
-}
-
-// KeySuffix is the fragment appended to cache/store keys for sampled
-// requests. It is empty for nil blocks, so every pre-sampling key — and the
-// durable store entries addressed by them — stays byte-identical.
-func (b *SampleBlock) KeySuffix() string {
-	if b == nil {
-		return ""
-	}
-	suffix := "|sample:" + b.Plan().Key()
-	if b.IntervalIndex != nil {
-		suffix += fmt.Sprintf("|k%d", *b.IntervalIndex)
-	}
-	return suffix
-}
-
-// spec converts the block to the harness's cell-level sampling spec.
-func (b *SampleBlock) spec() *harness.SampleSpec {
-	if b == nil {
-		return nil
-	}
-	s := &harness.SampleSpec{Plan: b.Plan(), Index: harness.WholeProgram}
-	if b.IntervalIndex != nil {
-		s.Index = *b.IntervalIndex
-	}
-	return s
+	return b.Plan().Validate()
 }
 
 // SampleCI is one metric's 95% confidence interval across the sampled
@@ -113,20 +67,4 @@ func sampleResultFrom(sum *sample.Summary) *SampleResult {
 		out.CIs = append(out.CIs, SampleCI{Name: ci.Name, Mean: ci.Mean, Half: ci.Half})
 	}
 	return out
-}
-
-// runSampled executes a sampled /v1/run on a per-request harness runner (the
-// same pattern handleSweep uses): the plan's intervals fan out across the
-// runner's worker pool, and the stitched summary comes back alongside the
-// whole-program statistics.
-func (s *Server) runSampled(ctx context.Context, bench string, scale int, maxInsts uint64, cfg core.Config, block *SampleBlock) (*sample.Summary, error) {
-	runner := harness.NewRunner()
-	runner.Scale = scale
-	runner.MaxInsts = maxInsts
-	runner.Parallel = true
-	runner.Parallelism = s.cfg.SweepParallelism
-	if s.cfg.Timeout > 0 {
-		runner.Timeout = s.cfg.Timeout
-	}
-	return runner.RunSampled(ctx, bench, cfg, block.Plan())
 }

@@ -53,19 +53,16 @@ func TestSampleValidation(t *testing.T) {
 			"sample.interval must be a positive"},
 		{"run interval_index", "/v1/run",
 			`{"bench":"vortex","sample":{"interval":1000,"interval_index":0}}`,
-			"interval_index is only valid on explicit sweep cells"},
+			`unknown field "interval_index"`},
 		{"run warmup exceeds stride", "/v1/run",
 			`{"bench":"vortex","sample":{"interval":10,"every":4,"warmup":1000}}`,
 			"warmup"},
 		{"sweep request-level interval_index", "/v1/sweep",
 			`{"benches":["vortex"],"options":[{}],"sample":{"interval":1000,"interval_index":0}}`,
-			"interval_index is only valid on explicit sweep cells"},
+			`unknown field "interval_index"`},
 		{"sweep cell zero interval", "/v1/sweep",
-			`{"cells":[{"bench":"vortex","sample":{"interval":0}}]}`,
-			"cell 0:"},
-		{"sweep cell negative index", "/v1/sweep",
-			`{"cells":[{"bench":"vortex","sample":{"interval":1000,"interval_index":-1}}]}`,
-			"must be >= 0"},
+			`{"benches":["vortex"],"options":[{}],"sample":{"interval":0}}`,
+			"sample.interval must be a positive"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -171,24 +168,12 @@ func TestRunSampledEndpoint(t *testing.T) {
 	}
 }
 
+// sweepLines posts a sweep and decodes its NDJSON lines, heartbeats
+// skipped.
 func sweepLines(t *testing.T, url string, req SweepRequest) []SweepLine {
 	t.Helper()
-	body, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(url+"/v1/sweep", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		var buf bytes.Buffer
-		buf.ReadFrom(resp.Body)
-		t.Fatalf("sweep status = %d, body %s", resp.StatusCode, buf.String())
-	}
 	var lines []SweepLine
-	sc := bufio.NewScanner(resp.Body)
+	sc := bufio.NewScanner(bytes.NewReader(sweepBody(t, url, req)))
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		if strings.HasPrefix(sc.Text(), "#") {
@@ -207,9 +192,8 @@ func sweepLines(t *testing.T, url string, req SweepRequest) []SweepLine {
 }
 
 // TestSweepRequestLevelSample checks that a request-level sample block
-// samples every cell of the sweep: each line carries raw counters, a
-// stitched summary and the attempts audit, and a full-coverage plan matches
-// the corresponding non-sampled run exactly.
+// samples every cell of the sweep: each line carries a stitched summary and
+// the attempts audit, and agrees with a sampled /v1/run under the same plan.
 func TestSweepRequestLevelSample(t *testing.T) {
 	_, ts := testServer(t, Config{})
 	lines := sweepLines(t, ts.URL, SweepRequest{
@@ -229,12 +213,9 @@ func TestSweepRequestLevelSample(t *testing.T) {
 		if l.Error != "" || l.Stats == nil {
 			t.Fatalf("cell %d failed: %+v", l.Index, l)
 		}
-		if l.Raw == nil || l.Sample == nil {
-			t.Errorf("sampled cell %d missing raw/sample: %+v", l.Index, l)
+		if l.Sample == nil {
+			t.Errorf("sampled cell %d missing sample: %+v", l.Index, l)
 			continue
-		}
-		if l.Interval != nil {
-			t.Errorf("whole-plan cell %d carries an interval: %+v", l.Index, l.Interval)
 		}
 		if l.Attempts < 1 {
 			t.Errorf("sampled cell %d attempts = %d, want >= 1", l.Index, l.Attempts)
@@ -242,9 +223,9 @@ func TestSweepRequestLevelSample(t *testing.T) {
 		if !l.Sample.Exact {
 			t.Errorf("full-coverage cell %d not exact: %+v", l.Index, l.Sample)
 		}
-		if l.Raw.Committed != l.Sample.TotalInsts {
+		if l.Stats.Committed != l.Sample.TotalInsts {
 			t.Errorf("cell %d stitched %d committed, summary says %d",
-				l.Index, l.Raw.Committed, l.Sample.TotalInsts)
+				l.Index, l.Stats.Committed, l.Sample.TotalInsts)
 		}
 	}
 	// The sampled sweep cell must agree bit for bit with a sampled /v1/run
@@ -263,75 +244,5 @@ func TestSweepRequestLevelSample(t *testing.T) {
 	}
 	if !reflect.DeepEqual(lines[0].Sample, rr.Sample) {
 		t.Errorf("sweep summary %+v != run summary %+v", lines[0].Sample, rr.Sample)
-	}
-}
-
-// TestSweepIntervalCells drives the coordinator's fan-out shape by hand:
-// each interval of a plan becomes one explicit sweep cell, and the
-// per-interval lines reassemble into the whole-program totals.
-func TestSweepIntervalCells(t *testing.T) {
-	_, ts := testServer(t, Config{})
-
-	// Learn the plan's interval count from a whole-plan sampled run (the
-	// same fast-forward pass the interval cells will share).
-	block := SampleBlock{Interval: 5_000}
-	resp, body := postRun(t, ts.URL, RunRequest{Bench: "vortex", MaxInsts: 20_000, Sample: &block})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("sampled run status = %d, body %s", resp.StatusCode, body)
-	}
-	var whole RunResponse
-	if err := json.Unmarshal(body, &whole); err != nil {
-		t.Fatal(err)
-	}
-	k := whole.Sample.Intervals
-	if k < 2 {
-		t.Fatalf("plan has %d intervals, need >= 2 for a meaningful fan-out", k)
-	}
-
-	cells := make([]SweepCellSpec, k)
-	for i := range cells {
-		idx := i
-		cells[i] = SweepCellSpec{
-			Bench:  "vortex",
-			Sample: &SampleBlock{Interval: block.Interval, IntervalIndex: &idx},
-		}
-	}
-	lines := sweepLines(t, ts.URL, SweepRequest{Cells: cells, MaxInsts: 20_000})
-	if len(lines) != k+1 {
-		t.Fatalf("got %d lines, want %d", len(lines), k+1)
-	}
-	if final := lines[k]; !final.Done || final.Cells != k || final.Failed != 0 {
-		t.Fatalf("done line = %+v", final)
-	}
-	var committed, cycles uint64
-	for i, l := range lines[:k] {
-		if l.Error != "" || l.Stats == nil {
-			t.Fatalf("interval cell %d failed: %+v", i, l)
-		}
-		if l.Interval == nil || l.Raw == nil {
-			t.Fatalf("interval cell %d missing interval/raw: %+v", i, l)
-		}
-		if l.Sample != nil {
-			t.Errorf("interval cell %d carries a stitched summary: %+v", i, l.Sample)
-		}
-		if l.Index != i || l.Interval.Index != i {
-			t.Errorf("cell %d holds interval %d at index %d", i, l.Interval.Index, l.Index)
-		}
-		if l.Attempts < 1 {
-			t.Errorf("interval cell %d attempts = %d, want >= 1", i, l.Attempts)
-		}
-		if l.Interval.Insts != l.Raw.Committed {
-			t.Errorf("interval %d insts %d != raw committed %d", i, l.Interval.Insts, l.Raw.Committed)
-		}
-		committed += l.Raw.Committed
-		cycles += l.Raw.Cycles
-	}
-	// Zero-warmup full coverage: the intervals partition the program, so
-	// their counters sum to the whole-plan totals exactly.
-	if committed != whole.Stats.Committed {
-		t.Errorf("interval cells committed %d insts, whole run %d", committed, whole.Stats.Committed)
-	}
-	if cycles != whole.Stats.Cycles {
-		t.Errorf("interval cells took %d cycles, whole run %d", cycles, whole.Stats.Cycles)
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"github.com/vpir-sim/vpir/internal/core"
 	"github.com/vpir-sim/vpir/internal/harness"
 	"github.com/vpir-sim/vpir/internal/obs"
-	"github.com/vpir-sim/vpir/internal/resultstore"
 	"github.com/vpir-sim/vpir/internal/workload"
 )
 
@@ -31,8 +30,7 @@ const (
 // HeartbeatLine is the NDJSON comment line periodically written into a
 // sweep stream while a cell is still computing, so idle proxies and load
 // balancers don't sever long-running sweeps. Comment lines start with '#';
-// NDJSON consumers must skip them (the coordinator additionally treats a
-// heartbeat gap as a straggler signal).
+// NDJSON consumers must skip them.
 const HeartbeatLine = "# heartbeat\n"
 
 // retryAfterSeconds is the Retry-After hint on 503 responses while
@@ -70,11 +68,6 @@ type Config struct {
 	// Heartbeat is the sweep-stream heartbeat interval (0 = the 10 s
 	// default; negative disables heartbeats).
 	Heartbeat time.Duration
-	// Store, when non-nil, is the durable content-addressed result store
-	// backing the in-memory LRU: /v1/run misses consult it before
-	// simulating (X-Cache: STORE) and computed results are written through,
-	// so a restarted server warms itself from history.
-	Store *resultstore.Store
 }
 
 func (c Config) withDefaults() Config {
@@ -149,7 +142,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/trace", s.recovered(s.handleTrace))
 	mux.HandleFunc("POST /v1/sweep", s.recovered(s.handleSweep))
 	mux.HandleFunc("GET /v1/benchmarks", s.recovered(s.handleBenchmarks))
-	mux.Handle("GET /v1/ui/", UIHandler())
+	mux.Handle("GET /v1/ui/", uiHandler())
 	mux.HandleFunc("GET /v1/ui", redirectUI)
 	mux.HandleFunc("GET /{$}", redirectUI)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -226,6 +219,20 @@ func writeDraining(w http.ResponseWriter) {
 	writeError(w, http.StatusServiceUnavailable, "server is draining")
 }
 
+// decodeBody decodes a JSON request body into v, answering a structured 400
+// and returning false when the body is malformed, oversized, or names a
+// field v does not have — a client still speaking a retired request form
+// learns so instead of getting a different request served.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		return false
+	}
+	return true
+}
+
 // clamp applies the server's scale and instruction-count bounds to a
 // request, returning the effective values (which also feed the cache key,
 // so a clamped request and an explicit request for the effective values
@@ -251,41 +258,40 @@ func (s *Server) simContext(ctx context.Context) (context.Context, context.Cance
 	return ctx, func() {}
 }
 
-func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	if !s.begin() {
-		s.metrics.Inc("server.rejected")
-		writeDraining(w)
-		return
+// runKey is the result-cache identity of one simulation:
+// bench|scale|max_insts|Config.Key, extended with the plan for sampled runs
+// so sampled and full-detail results never alias. Non-sampled keys are
+// unchanged by the existence of sampling.
+func runKey(bench string, scale int, maxInsts uint64, cfg core.Config, sb *SampleBlock) string {
+	key := fmt.Sprintf("%s|%d|%d|%s", bench, scale, maxInsts, cfg.Key())
+	if sb != nil {
+		key += "|sample:" + sb.Plan().Key()
 	}
-	defer s.end()
-	s.metrics.Inc("server.run.requests")
+	return key
+}
 
-	var req RunRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return
+// newRunner builds a per-request harness runner: its unbounded internal
+// cache lives exactly as long as the request, and its worker pool is the
+// batching layer — cells share per-worker machines via Machine.Reset.
+func (s *Server) newRunner(scale int, maxInsts uint64) *harness.Runner {
+	runner := harness.NewRunner()
+	runner.Scale = scale
+	runner.MaxInsts = maxInsts
+	runner.Parallel = true
+	runner.Parallelism = s.cfg.SweepParallelism
+	if s.cfg.Timeout > 0 {
+		runner.Timeout = s.cfg.Timeout
 	}
-	if _, err := workload.Get(req.Bench); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	cfg, err := req.Options.Config()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if req.Sample != nil {
-		if err := req.Sample.Validate(false); err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-	}
-	scale, maxInsts := s.clamp(req.Scale, req.MaxInsts)
-	// Sampled requests extend the key with the plan; non-sampled keys (and
-	// the store entries they address) are byte-identical to before sampling
-	// existed, so X-Cache semantics are unchanged for existing clients.
-	key := fmt.Sprintf("%s|%d|%d|%s%s", req.Bench, scale, maxInsts, cfg.Key(), req.Sample.KeySuffix())
+	return runner
+}
 
+// serveCached answers one cacheable simulation request. An LRU hit is
+// served as is; on a miss, compute runs once per key however many
+// identical requests are in flight (singleflight), under the per-simulation
+// deadline, and its marshaled response is cached. Compute errors map to
+// 504 (deadline), 499 (client gone) or 500 and count under errMetric. The
+// X-Cache header reports HIT, MISS or COALESCED.
+func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key, errMetric string, compute func(ctx context.Context) (any, error)) {
 	s.mu.Lock()
 	body, hit := s.cache.get(key)
 	s.mu.Unlock()
@@ -296,55 +302,16 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	s.metrics.Inc("server.cache.misses")
 
-	// Behind the LRU sits the durable store: a restarted server (or a cold
-	// fleet member sharing history) serves repeats from disk instead of
-	// resimulating. Store reads are checksum-verified; a corrupt entry is
-	// quarantined inside the store and comes back as a plain miss.
-	if body, ok := s.storeGet(key); ok {
-		writeJSONBody(w, "STORE", body)
-		return
-	}
-
 	body, err, shared := s.flight.do(key, func() ([]byte, error) {
 		ctx, cancel := s.simContext(r.Context())
 		defer cancel()
 		s.metrics.AddGauge("server.sims.inflight", 1)
 		start := time.Now()
-		var resp RunResponse
-		if req.Sample != nil {
-			// Sampled runs go to a per-request harness runner (the pattern
-			// handleSweep uses) so the plan's intervals fan out in parallel
-			// instead of holding one pool worker for the whole program.
-			sum, err := s.runSampled(ctx, req.Bench, scale, maxInsts, cfg, req.Sample)
-			s.metrics.AddGauge("server.sims.inflight", -1)
-			s.metrics.Observe("server.run.seconds", runSecondsBounds, time.Since(start).Seconds())
-			if err != nil {
-				return nil, err
-			}
-			resp = RunResponse{
-				Bench:    req.Bench,
-				Scale:    scale,
-				MaxInsts: maxInsts,
-				Stats:    statsFrom(cfg, sum.Stats),
-				Output:   sum.Output,
-				ExitCode: sum.ExitCode,
-				Sample:   sampleResultFrom(sum),
-			}
-		} else {
-			res := s.pool.run(ctx, req.Bench, scale, maxInsts, cfg)
-			s.metrics.AddGauge("server.sims.inflight", -1)
-			s.metrics.Observe("server.run.seconds", runSecondsBounds, time.Since(start).Seconds())
-			if res.err != nil {
-				return nil, res.err
-			}
-			resp = RunResponse{
-				Bench:    req.Bench,
-				Scale:    scale,
-				MaxInsts: maxInsts,
-				Stats:    statsFrom(cfg, res.stats),
-				Output:   res.output,
-				ExitCode: res.exitCode,
-			}
+		resp, err := compute(ctx)
+		s.metrics.AddGauge("server.sims.inflight", -1)
+		s.metrics.Observe("server.run.seconds", runSecondsBounds, time.Since(start).Seconds())
+		if err != nil {
+			return nil, err
 		}
 		b, err := json.Marshal(resp)
 		if err != nil {
@@ -357,11 +324,10 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		if evicted > 0 {
 			s.metrics.Add("server.cache.evictions", uint64(evicted))
 		}
-		s.storePut(key, b)
 		return b, nil
 	})
 	if err != nil {
-		s.metrics.Inc("server.run.errors")
+		s.metrics.Inc(errMetric)
 		code := http.StatusInternalServerError
 		if errors.Is(err, context.DeadlineExceeded) {
 			code = http.StatusGatewayTimeout
@@ -379,47 +345,63 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	writeJSONBody(w, status, body)
 }
 
+func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
+	if !s.begin() {
+		s.metrics.Inc("server.rejected")
+		writeDraining(w)
+		return
+	}
+	defer s.end()
+	s.metrics.Inc("server.run.requests")
+
+	var req RunRequest
+	if !decodeBody(w, r, &req) {
+		return
+	}
+	if _, err := workload.Get(req.Bench); err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	cfg, err := req.Options.Config()
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	if req.Sample != nil {
+		if err := req.Sample.Validate(); err != nil {
+			writeError(w, http.StatusBadRequest, err.Error())
+			return
+		}
+	}
+	scale, maxInsts := s.clamp(req.Scale, req.MaxInsts)
+	key := runKey(req.Bench, scale, maxInsts, cfg, req.Sample)
+	s.serveCached(w, r, key, "server.run.errors", func(ctx context.Context) (any, error) {
+		resp := RunResponse{Bench: req.Bench, Scale: scale, MaxInsts: maxInsts}
+		if req.Sample != nil {
+			// Sampled runs go to a per-request harness runner (the pattern
+			// handleSweep uses) so the plan's intervals fan out in parallel
+			// instead of holding one pool worker for the whole program.
+			sum, err := s.newRunner(scale, maxInsts).RunSampled(ctx, req.Bench, cfg, req.Sample.Plan())
+			if err != nil {
+				return nil, err
+			}
+			resp.Stats = statsFrom(cfg, sum.Stats)
+			resp.Output, resp.ExitCode = sum.Output, sum.ExitCode
+			resp.Sample = sampleResultFrom(sum)
+			return resp, nil
+		}
+		res := s.pool.run(ctx, req.Bench, scale, maxInsts, cfg)
+		if res.err != nil {
+			return nil, res.err
+		}
+		resp.Stats = statsFrom(cfg, res.stats)
+		resp.Output, resp.ExitCode = res.output, res.exitCode
+		return resp, nil
+	})
+}
+
 // runSecondsBounds buckets simulation wall-clock times.
 var runSecondsBounds = []float64{0.01, 0.05, 0.1, 0.5, 1, 5, 30}
-
-// storeGet consults the durable store (if configured) and promotes a hit
-// into the LRU so the disk is touched at most once per key per process.
-func (s *Server) storeGet(key string) ([]byte, bool) {
-	if s.cfg.Store == nil {
-		return nil, false
-	}
-	body, ok, err := s.cfg.Store.Get(key)
-	if err != nil {
-		s.metrics.Inc("server.store.errors")
-		return nil, false
-	}
-	if !ok {
-		s.metrics.Inc("server.store.misses")
-		return nil, false
-	}
-	s.metrics.Inc("server.store.hits")
-	s.mu.Lock()
-	evicted := s.cache.add(key, body)
-	s.mu.Unlock()
-	if evicted > 0 {
-		s.metrics.Add("server.cache.evictions", uint64(evicted))
-	}
-	return body, true
-}
-
-// storePut writes a computed result through to the durable store. Write
-// failures are counted, not fatal: durability is an optimization, the
-// in-memory result is already correct.
-func (s *Server) storePut(key string, body []byte) {
-	if s.cfg.Store == nil {
-		return
-	}
-	if err := s.cfg.Store.Put(key, body); err != nil {
-		s.metrics.Inc("server.store.errors")
-		return
-	}
-	s.metrics.Inc("server.store.puts")
-}
 
 func writeJSONBody(w http.ResponseWriter, cacheStatus string, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
@@ -427,49 +409,13 @@ func writeJSONBody(w http.ResponseWriter, cacheStatus string, body []byte) {
 	w.Write(body)
 }
 
-// ResolveCells expands a SweepRequest into its validated cell list —
-// either the explicit Cells (the coordinator's partition form) or the
-// benches × options cross product in deterministic bench-major order —
-// returning each cell's spec alongside its resolved machine configuration.
-// The two request forms are mutually exclusive. The coordinator shares
-// this resolution so a distributed sweep names exactly the cells a
-// single-machine sweep would.
-//
-// A request-level Sample block is normalized here into each resolved cell
-// (explicit cells with their own block keep it), so samplers downstream —
-// the local runner or a remote worker the coordinator hands a cell to —
-// see the same per-cell plan either way.
-func ResolveCells(req SweepRequest) ([]SweepCellSpec, []core.Config, error) {
+// resolveCells expands a SweepRequest into its validated cell list: the
+// benches × options cross product in deterministic bench-major order.
+func resolveCells(req SweepRequest) ([]harness.SweepCell, error) {
 	if req.Sample != nil {
-		if err := req.Sample.Validate(false); err != nil {
-			return nil, nil, err
+		if err := req.Sample.Validate(); err != nil {
+			return nil, err
 		}
-	}
-	if len(req.Cells) > 0 {
-		if len(req.Benches) > 0 || len(req.Options) > 0 {
-			return nil, nil, errors.New("sweep takes either cells or benches×options, not both")
-		}
-		cfgs := make([]core.Config, len(req.Cells))
-		for i, c := range req.Cells {
-			if _, err := workload.Get(c.Bench); err != nil {
-				return nil, nil, err
-			}
-			cfg, err := c.Options.Config()
-			if err != nil {
-				return nil, nil, err
-			}
-			if c.Sample != nil {
-				// Interval indexes are legal here: cells are how a stitcher
-				// (the coordinator, or any client) names one interval.
-				if err := c.Sample.Validate(true); err != nil {
-					return nil, nil, fmt.Errorf("cell %d: %w", i, err)
-				}
-			} else if req.Sample != nil {
-				req.Cells[i].Sample = req.Sample
-			}
-			cfgs[i] = cfg
-		}
-		return req.Cells, cfgs, nil
 	}
 	benches := req.Benches
 	if len(benches) == 0 {
@@ -477,29 +423,21 @@ func ResolveCells(req SweepRequest) ([]SweepCellSpec, []core.Config, error) {
 	}
 	for _, b := range benches {
 		if _, err := workload.Get(b); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	if len(req.Options) == 0 {
-		return nil, nil, errors.New("sweep needs at least one configuration in options")
+		return nil, errors.New("sweep needs at least one configuration in options")
 	}
-	optCfgs := make([]core.Config, len(req.Options))
+	cfgs := make([]core.Config, len(req.Options))
 	for i, o := range req.Options {
 		cfg, err := o.Config()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		optCfgs[i] = cfg
+		cfgs[i] = cfg
 	}
-	specs := make([]SweepCellSpec, 0, len(benches)*len(req.Options))
-	cfgs := make([]core.Config, 0, len(benches)*len(req.Options))
-	for _, b := range benches {
-		for i, o := range req.Options {
-			specs = append(specs, SweepCellSpec{Bench: b, Options: o, Sample: req.Sample})
-			cfgs = append(cfgs, optCfgs[i])
-		}
-	}
-	return specs, cfgs, nil
+	return harness.Grid(benches, cfgs), nil
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -512,38 +450,28 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	s.metrics.Inc("server.sweep.requests")
 
 	var req SweepRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+	if !decodeBody(w, r, &req) {
 		return
 	}
-	specs, cfgs, err := ResolveCells(req)
+	cells, err := resolveCells(req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if len(specs) > s.cfg.MaxSweepCells {
+	if len(cells) > s.cfg.MaxSweepCells {
 		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("sweep of %d cells exceeds the server bound of %d", len(specs), s.cfg.MaxSweepCells))
+			fmt.Sprintf("sweep of %d cells exceeds the server bound of %d", len(cells), s.cfg.MaxSweepCells))
 		return
-	}
-	cells := make([]harness.SweepCell, len(specs))
-	for i := range specs {
-		cells[i] = harness.SweepCell{Bench: specs[i].Bench, Cfg: cfgs[i], Sample: specs[i].Sample.spec()}
 	}
 
 	scale, maxInsts := s.clamp(req.Scale, req.MaxInsts)
 	s.metrics.Add("server.sweep.cells", uint64(len(cells)))
 
-	// One Runner per request: its unbounded internal cache lives exactly
-	// as long as the sweep, and its worker pool is the batching layer —
-	// cells share per-worker machines via Machine.Reset.
-	runner := harness.NewRunner()
-	runner.Scale = scale
-	runner.MaxInsts = maxInsts
-	runner.Parallel = true
-	runner.Parallelism = s.cfg.SweepParallelism
-	if s.cfg.Timeout > 0 {
-		runner.Timeout = s.cfg.Timeout
+	runner := s.newRunner(scale, maxInsts)
+	if req.Sample != nil {
+		// A request-level plan samples every cell as a whole-plan run.
+		plan := req.Sample.Plan()
+		runner.Sample = &plan
 	}
 	ready := make([]chan harness.SweepResult, len(cells))
 	for i := range ready {
@@ -564,8 +492,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// never abort the stream — the Done line carries the failure total,
 	// the streaming analogue of RunAll's errors.Join contract. While a
 	// cell is still computing, heartbeat comment lines keep idle
-	// proxies/load balancers from severing the connection (and tell the
-	// coordinator the worker is alive, just slow).
+	// proxies/load balancers from severing the connection.
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)
 	flush := func() {
@@ -606,15 +533,10 @@ stream:
 				} else {
 					st := statsFrom(res.Cfg, res.Stats)
 					line.Stats = &st
-					if res.Interval != nil || res.Summary != nil {
-						// Sampled cells additionally carry their raw counters
-						// (stitching needs counters, SimStats has only derived
-						// metrics), the interval measurement or the stitched
-						// summary, and the retry audit. Plain cells keep their
+					if res.Summary != nil {
+						// Sampled cells additionally carry the stitched summary
+						// and the retry audit. Plain cells keep their
 						// pre-sampling line shape byte for byte.
-						raw := res.Stats
-						line.Raw = &raw
-						line.Interval = res.Interval
 						line.Sample = sampleResultFrom(res.Summary)
 						line.Attempts = res.Attempts
 					}
@@ -650,15 +572,8 @@ stream:
 	flush()
 }
 
+// handleBenchmarks lists the registered workloads, in registry order.
 func (s *Server) handleBenchmarks(w http.ResponseWriter, r *http.Request) {
-	WriteBenchmarks(w)
-}
-
-// WriteBenchmarks writes the GET /v1/benchmarks response body: the
-// registered workloads, in registry order. The workload list is static
-// process-wide data, so the coordinator serves it directly with this
-// helper instead of proxying to a backend.
-func WriteBenchmarks(w http.ResponseWriter) {
 	out := make([]BenchmarkEntry, 0, len(workload.Names()))
 	for _, n := range workload.Names() {
 		wl, err := workload.Get(n)

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -505,7 +506,7 @@ func TestUnknownTechniqueStructured400(t *testing.T) {
 			`{"benches":["vortex"],"options":[{"technique":"warp"}]}`,
 			`unknown technique "warp"`},
 		{"sweep cell unknown scheme", "/v1/sweep",
-			`{"cells":[{"bench":"vortex","options":{"technique":"hybrid","scheme":"psychic"}}]}`,
+			`{"benches":["vortex"],"options":[{"technique":"hybrid","scheme":"psychic"}]}`,
 			`unknown scheme "psychic"`},
 	}
 	for _, tc := range cases {
@@ -533,6 +534,70 @@ func TestUnknownTechniqueStructured400(t *testing.T) {
 			}
 			if er.RequestID != "client-trace-42" {
 				t.Errorf("request_id = %q, want the inbound X-Request-ID echoed", er.RequestID)
+			}
+		})
+	}
+}
+
+// TestRequestFieldsStrict pins strict request decoding: a field the request
+// type does not have — such as the retired explicit "cells" sweep form, or
+// a misspelled knob — is a structured 400 naming the field, instead of a
+// different request silently served. The exact bodies the embedded
+// dashboard (ui/app.js) sends must still decode. Unknown fields inside a
+// sample block are covered by TestSampleValidation.
+func TestRequestFieldsStrict(t *testing.T) {
+	ts := testServerWithRequestID(t, Config{})
+	cases := []struct {
+		name string
+		path string
+		body string
+		want string // substring of the 400 error; empty = the body must succeed
+	}{
+		{"sweep cells", "/v1/sweep",
+			`{"options":[{}],"cells":[{"bench":"vortex","options":{}}]}`,
+			`unknown field "cells"`},
+		{"run misspelled knob", "/v1/run",
+			`{"bench":"vortex","options":{"technique":"vp","schema":"lvp"}}`,
+			`unknown field "schema"`},
+		{"trace unknown field", "/v1/trace",
+			`{"bench":"vortex","max_insts":5000,"frames":10}`,
+			`unknown field "frames"`},
+		{"dashboard trace", "/v1/trace",
+			`{"bench":"vortex","scale":1,"max_insts":5000,"options":{"technique":"vp","scheme":"magic","branch_resolution":"sb","reexec":"me"},"window":64}`,
+			""},
+		{"dashboard sweep", "/v1/sweep",
+			`{"benches":[],"options":[{"technique":"ir"},{"technique":"vp","scheme":"lvp"}],"scale":1,"max_insts":5000}`,
+			""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			raw, err := io.ReadAll(resp.Body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.want == "" {
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("status = %d, want 200; body %s", resp.StatusCode, raw)
+				}
+				return
+			}
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("status = %d, want 400; body %s", resp.StatusCode, raw)
+			}
+			var er ErrorResponse
+			if err := json.Unmarshal(raw, &er); err != nil {
+				t.Fatalf("non-JSON error body %s: %v", raw, err)
+			}
+			if !strings.Contains(er.Error, tc.want) {
+				t.Errorf("error = %q, want substring %q", er.Error, tc.want)
+			}
+			if er.RequestID == "" || er.RequestID != resp.Header.Get(RequestIDHeader) {
+				t.Errorf("request_id %q does not match header %q", er.RequestID, resp.Header.Get(RequestIDHeader))
 			}
 		})
 	}

@@ -2,11 +2,8 @@ package server
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
-	"time"
 
 	"github.com/vpir-sim/vpir/internal/core"
 	"github.com/vpir-sim/vpir/internal/obs"
@@ -114,22 +111,11 @@ func clampTrace(req TraceRequest) traceParams {
 	return tp
 }
 
-// TraceKey is the full identity of one trace result: the run identity
-// (bench|scale|max_insts|config) extended with the capture bounds, since
-// a different window or sampling period is a different payload. The
-// coordinator routes /v1/trace by the same key so repeated traces land on
-// the worker that already has the machine and the cache entry. The
-// request's knobs are clamped with the given server-side bounds first —
-// callers that don't know the server's clamps (the coordinator) pass the
-// raw request and still agree on a routing key.
-func TraceKey(req TraceRequest, scale int, maxInsts uint64) (string, error) {
-	cfg, err := req.Options.Config()
-	if err != nil {
-		return "", err
-	}
-	tp := clampTrace(req)
-	return fmt.Sprintf("trace|%s|%d|%d|%d|%d|%d|%s",
-		req.Bench, scale, maxInsts, tp.window, tp.interval, tp.events, cfg.Key()), nil
+// traceKey is the full identity of one trace result: the run identity
+// (runKey) extended with the clamped capture bounds, since a different
+// window or sampling period is a different payload.
+func traceKey(run string, tp traceParams) string {
+	return fmt.Sprintf("trace|%s|%d|%d|%d", run, tp.window, tp.interval, tp.events)
 }
 
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
@@ -142,8 +128,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	s.metrics.Inc("server.trace.requests")
 
 	var req TraceRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if _, err := workload.Get(req.Bench); err != nil {
@@ -157,36 +142,14 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	scale, maxInsts := s.clamp(req.Scale, req.MaxInsts)
 	tp := clampTrace(req)
-	key, _ := TraceKey(req, scale, maxInsts)
-
-	s.mu.Lock()
-	body, hit := s.cache.get(key)
-	s.mu.Unlock()
-	if hit {
-		s.metrics.Inc("server.cache.hits")
-		writeJSONBody(w, "HIT", body)
-		return
-	}
-	s.metrics.Inc("server.cache.misses")
-
-	if body, ok := s.storeGet(key); ok {
-		writeJSONBody(w, "STORE", body)
-		return
-	}
-
-	body, err, shared := s.flight.do(key, func() ([]byte, error) {
-		ctx, cancel := s.simContext(r.Context())
-		defer cancel()
-		s.metrics.AddGauge("server.sims.inflight", 1)
-		start := time.Now()
+	key := traceKey(runKey(req.Bench, scale, maxInsts, cfg, nil), tp)
+	s.serveCached(w, r, key, "server.trace.errors", func(ctx context.Context) (any, error) {
 		res := s.pool.trace(ctx, req.Bench, scale, maxInsts, cfg, tp)
-		s.metrics.AddGauge("server.sims.inflight", -1)
-		s.metrics.Observe("server.run.seconds", runSecondsBounds, time.Since(start).Seconds())
 		if res.err != nil {
 			return nil, res.err
 		}
 		series := res.obs.Series().JSON()
-		resp := TraceResponse{
+		return TraceResponse{
 			Bench:         req.Bench,
 			Scale:         scale,
 			MaxInsts:      maxInsts,
@@ -205,36 +168,6 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 				Fields:   series.Fields,
 				Rows:     series.Rows,
 			},
-		}
-		b, err := json.Marshal(resp)
-		if err != nil {
-			return nil, err
-		}
-		b = append(b, '\n')
-		s.mu.Lock()
-		evicted := s.cache.add(key, b)
-		s.mu.Unlock()
-		if evicted > 0 {
-			s.metrics.Add("server.cache.evictions", uint64(evicted))
-		}
-		s.storePut(key, b)
-		return b, nil
+		}, nil
 	})
-	if err != nil {
-		s.metrics.Inc("server.trace.errors")
-		code := http.StatusInternalServerError
-		if errors.Is(err, context.DeadlineExceeded) {
-			code = http.StatusGatewayTimeout
-		} else if errors.Is(err, context.Canceled) {
-			code = 499 // client closed request
-		}
-		writeError(w, code, err.Error())
-		return
-	}
-	status := "MISS"
-	if shared {
-		s.metrics.Inc("server.coalesced")
-		status = "COALESCED"
-	}
-	writeJSONBody(w, status, body)
 }

@@ -181,25 +181,18 @@ func TestClampTrace(t *testing.T) {
 }
 
 func TestTraceKeyStable(t *testing.T) {
-	raw := TraceRequest{Bench: "gcc", Options: SimOptions{Technique: "vp", Scheme: "lvp"}, Window: 1 << 20}
-	k1, err := TraceKey(raw, 1, 30_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clamped := raw
-	clamped.Window = MaxTraceWindow
-	k2, err := TraceKey(clamped, 1, 30_000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	run := runKey("gcc", 1, 30_000, mustConfig(t, SimOptions{Technique: "vp", Scheme: "lvp"}), nil)
+	raw := TraceRequest{Window: 1 << 20}
+	clamped := TraceRequest{Window: MaxTraceWindow}
+	k1, k2 := traceKey(run, clampTrace(raw)), traceKey(run, clampTrace(clamped))
 	if k1 != k2 {
 		t.Errorf("raw and pre-clamped requests disagree on key:\n%s\n%s", k1, k2)
 	}
 	if !strings.HasPrefix(k1, "trace|gcc|1|30000|") {
 		t.Errorf("key %q missing trace|bench|scale|insts prefix", k1)
 	}
-	if _, err := TraceKey(TraceRequest{Bench: "gcc", Options: SimOptions{Technique: "nope"}}, 1, 0); err == nil {
-		t.Error("bad options must not produce a key")
+	if k1 == traceKey(run, clampTrace(TraceRequest{Window: 32})) {
+		t.Errorf("capture bounds do not contribute to the key: %q", k1)
 	}
 }
 

@@ -7,17 +7,15 @@ import (
 )
 
 // The dashboard is plain static HTML+JS+CSS compiled into the binary:
-// zero external assets, zero build toolchain. A bare vpir-server (or
-// vpir-coord, which mounts the same handler) serves the whole analysis UI.
+// zero external assets, zero build toolchain. A bare vpir-server serves the
+// whole analysis UI.
 //
 //go:embed ui
 var uiFiles embed.FS
 
-// UIHandler serves the embedded analysis dashboard. Mount it at /v1/ui/;
-// requests for the directory itself fall through to index.html. The
-// coordinator mounts the same handler so a fleet deployment presents the
-// same UI as a single worker.
-func UIHandler() http.Handler {
+// uiHandler serves the embedded analysis dashboard. Mount it at /v1/ui/;
+// requests for the directory itself fall through to index.html.
+func uiHandler() http.Handler {
 	sub, err := fs.Sub(uiFiles, "ui")
 	if err != nil {
 		// The tree is compiled in; a missing subdirectory is a build bug.

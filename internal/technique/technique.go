@@ -3,7 +3,7 @@
 // VP, IR and hybrid machines plus the extension predictors and arbitration
 // policies — registers here with the knobs it consumes, and every consumer
 // of a technique name (the public vpir.Options, the HTTP wire options, the
-// coordinator's cell specs, the CLI flags) resolves through this package.
+// CLI flags) resolves through this package.
 //
 // The registry is the single source of truth for technique and knob
 // spellings. Resolution is strict: an unknown name is an error (never a

@@ -1,7 +1,9 @@
 #!/bin/sh
-# Pre-commit gate, equivalent to `make check` for environments without make:
-# vet, build, race-enabled tests, and the deterministic fault-injection
-# smoke campaign (see docs/robustness.md).
+# Pre-commit gate (`make check` runs this script): gofmt, vet, build,
+# race-enabled tests, the deterministic fault-injection smoke campaign (see
+# docs/robustness.md), the golden corpus with and without cycle skipping,
+# fuzz smoke, the dashboard smoke against a real server binary, and the
+# sampled-simulation smoke.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -20,28 +22,15 @@ go vet ./...
 echo "== go build =="
 go build ./...
 
-echo "== go vet + go test -race (core, harness, faultinject, server, coord) =="
-# Explicit gate for the concurrency-heavy packages: the sweep engine, the
-# parallel fault campaign, the core machinery their workers reuse, the HTTP
-# simulation server (cache/singleflight/drain under concurrent load), and
-# the distributed sweep coordinator (hedging/breakers/store).
-go vet ./internal/core/ ./internal/harness/ ./internal/faultinject/ ./internal/server/ ./internal/coord/
-go test -race ./internal/core/ ./internal/harness/ ./internal/faultinject/ ./internal/server/ ./internal/coord/
-
 echo "== go test -race (full suite) =="
 go test -race ./...
 
 echo "== fault-injection smoke campaign =="
 go run ./cmd/vpir-faults -seed 1 -campaign smoke
 
-echo "== service-layer chaos drill (kill/revive, store restart, corruption) =="
-# Workers behind fault-injecting proxies, one killed and revived mid-sweep;
-# the merged distributed output must stay byte-identical to a serial run,
-# and the durable store must survive restart and quarantine corruption.
-go test -race -run 'TestChaos|TestDurableStore|TestAllBackendsDown|TestHedgedStragglers' -count 1 ./internal/coord/
-
 echo "== golden-result corpus =="
-# Every benchmark x {base, VP, IR} against testdata/golden; a core change
+# Every benchmark x every registered technique against testdata/golden
+# (the cell list enumerates the technique registry); a core change
 # that shifts paper-relevant numbers fails here. Deliberate changes:
 # go test -run TestGoldenCorpus -update . (then review the JSON diff).
 go test -run 'TestGoldenCorpus' .
