@@ -123,8 +123,7 @@ bench-check:
 
 # CPU and allocation profiles of the three pipeline variants, written to
 # profiles/ for `go tool pprof` spelunking (see docs/performance.md for how
-# to read them and what the current hot paths are). Opt into running this
-# from scripts/check.sh with VPIR_PROFILE=1.
+# to read them and what the current hot paths are).
 profile:
 	@mkdir -p profiles
 	$(GO) test -run '^$$' -bench 'BenchmarkSimBase$$' -benchtime 5x \

@@ -145,7 +145,7 @@ func BenchmarkSimBaseMetrics(b *testing.B) { benchMachine(b, core.DefaultConfig(
 // benchMachineReset is benchMachine on a reused machine: one core.New,
 // then Machine.Reset per iteration. The gap to the corresponding cold
 // benchmark is what a sweep worker or server pool saves per run by pooling
-// machines (construction and the functional pre-run amortize away).
+// machines (construction amortizes away).
 func benchMachineReset(b *testing.B, cfg core.Config) {
 	b.Helper()
 	if testing.Short() {

@@ -5,7 +5,7 @@ import "testing"
 // FuzzRunSource is the end-to-end never-panic contract: whatever source
 // text arrives, under any technique, assembling and simulating it must
 // either succeed or return an error — never panic, and never run away
-// (MaxInsts bounds the functional pre-run and the timing run; a tight
+// (MaxInsts bounds the run-ahead oracle emulator and the timing run; a tight
 // watchdog bounds simulated-time livelock). This is exactly the service's
 // exposure: /v1/run executes attacker-shaped configurations against the
 // pipeline, so the emulator and simulator must be total functions.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strconv"
 
 	"github.com/vpir-sim/vpir/internal/emu"
@@ -71,10 +72,16 @@ func (m *Machine) commit() error {
 		m.robCount--
 
 		m.commitCursor++
+		m.oracle.trim(m.commitCursor)
 		m.stats.Committed++
 		m.lastRetire = m.cycle
 		m.itersAtRetire = m.activeIters
-		if m.commitCursor == int64(m.oracle.Len()) {
+		if !m.oracle.has(m.commitCursor) {
+			// The oracle is exhausted: the run ends here, or the correct
+			// path faults on its next instruction.
+			if err := m.oracle.err; err != nil {
+				return fmt.Errorf("core: correct path faults after %d instructions: %w", m.commitCursor, err)
+			}
 			m.halted = true
 		}
 	}
@@ -96,17 +103,18 @@ func (m *Machine) checkOracle(e *robEntry) error {
 		return m.divergence(e, "commit order", e.traceIdx, m.commitCursor)
 	}
 	ti := e.traceIdx
-	if e.pc != m.oracle.PC[ti] {
-		return m.divergence(e, "pc", e.pc, m.oracle.PC[ti])
+	o := &m.oracle
+	if e.pc != o.pcAt(ti) {
+		return m.divergence(e, "pc", e.pc, o.pcAt(ti))
 	}
-	if e.in.Dest != isa.NoReg && e.result != m.oracle.Result[ti] {
-		return m.divergence(e, "result", e.result, m.oracle.Result[ti])
+	if e.in.Dest != isa.NoReg && e.result != o.resultAt(ti) {
+		return m.divergence(e, "result", e.result, o.resultAt(ti))
 	}
-	if e.in.Op.IsMem() && e.addr != m.oracle.Addr[ti] {
-		return m.divergence(e, "address", e.addr, m.oracle.Addr[ti])
+	if e.in.Op.IsMem() && e.addr != o.addrAt(ti) {
+		return m.divergence(e, "address", e.addr, o.addrAt(ti))
 	}
-	if e.in.Op.IsCondBranch() && e.actualTaken != m.oracle.Taken[ti] {
-		return m.divergence(e, "direction", e.actualTaken, m.oracle.Taken[ti])
+	if e.in.Op.IsCondBranch() && e.actualTaken != o.takenAt(ti) {
+		return m.divergence(e, "direction", e.actualTaken, o.takenAt(ti))
 	}
 	return nil
 }

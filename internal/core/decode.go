@@ -64,8 +64,8 @@ func (m *Machine) decode() error {
 		m.seq++
 
 		// Correct-path trace tracking.
-		if m.traceCursor >= 0 && m.traceCursor < int64(m.oracle.Len()) &&
-			m.oracle.PC[m.traceCursor] == f.pc {
+		if m.traceCursor >= 0 && m.oracle.has(m.traceCursor) &&
+			m.oracle.pcAt(m.traceCursor) == f.pc {
 			e.traceIdx = m.traceCursor
 			m.traceCursor++
 		} else {
@@ -339,7 +339,7 @@ func (m *Machine) tryPredictAt(e *robEntry, saturated, skipKnownAddr bool) {
 		var oracleVal isa.Word
 		have := false
 		if e.traceIdx >= 0 {
-			oracleVal = m.oracle.Result[e.traceIdx]
+			oracleVal = m.oracle.resultAt(e.traceIdx)
 			have = true
 		}
 		if v, ok := m.vpt.PredictAt(e.pc, oracleVal, have, inflight, minConf); ok {
@@ -359,7 +359,7 @@ func (m *Machine) tryPredictAt(e *robEntry, saturated, skipKnownAddr bool) {
 		var oracleAddr isa.Word
 		have := false
 		if e.traceIdx >= 0 {
-			oracleAddr = isa.Word(m.oracle.Addr[e.traceIdx])
+			oracleAddr = isa.Word(m.oracle.addrAt(e.traceIdx))
 			have = true
 		}
 		if v, ok := m.vpa.PredictAt(e.pc, oracleAddr, have, inflight, aMin); ok {

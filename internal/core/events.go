@@ -339,8 +339,8 @@ func (m *Machine) resolveBranch(idx int32, e *robEntry) {
 		return
 	}
 	m.stats.Squashes++
-	spurious := e.traceIdx >= 0 && e.traceIdx+1 < int64(m.oracle.Len()) &&
-		e.actualNext != m.oracle.PC[e.traceIdx+1]
+	spurious := e.traceIdx >= 0 && m.oracle.has(e.traceIdx+1) &&
+		e.actualNext != m.oracle.pcAt(e.traceIdx+1)
 	if spurious {
 		m.stats.SpuriousSquashes++
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"fmt"
 
 	"github.com/vpir-sim/vpir/internal/bpred"
 	"github.com/vpir-sim/vpir/internal/emu"
@@ -33,9 +32,10 @@ type fetched struct {
 
 // Machine is the timing simulator.
 type Machine struct {
-	cfg     Config
-	prog    *prog.Program
-	decoded []isa.Inst
+	cfg      Config
+	prog     *prog.Program
+	decoded  []isa.Inst
+	maxInsts uint64 // New's instruction cap (0 = whole program)
 
 	mem    *mem.Memory
 	icache *mem.Cache
@@ -44,7 +44,7 @@ type Machine struct {
 	vpt    *vp.Table // result predictions (nil unless Config.NeedsVPT)
 	vpa    *vp.Table // address predictions (nil unless Config.NeedsVPA)
 	rb     *reuse.Buffer
-	oracle *emu.TraceLog
+	oracle oracleWindow // the correct-path stream (see window.go)
 
 	// tech is the active technique's integration into the cycle loop: the
 	// decode-time reuse/predict arbitration, commit-time training, store
@@ -161,33 +161,31 @@ type Machine struct {
 	debugReuse func(e *robEntry)
 }
 
-// New builds a machine for the program. The functional emulator is run
-// first (up to maxInsts instructions, 0 = to completion) to produce the
-// correct-path oracle trace; the timing simulation then reproduces exactly
-// that instruction stream and is checked against it at commit. The trace
-// depends only on (program, maxInsts), so it is collected once and shared
-// by every machine built for the same program (see oracle.go).
+// New builds a machine for the program, simulating at most maxInsts
+// instructions (0 = to completion). The correct-path oracle is streamed by
+// a functional emulator that runs ahead of the timing core only as far as
+// the in-flight window (see window.go); the timing simulation reproduces
+// exactly that instruction stream and is checked against it at commit.
+// New produces the first instruction, so an empty program or a fault on
+// the first instruction fails here; a fault later in the program is
+// returned by Run once every instruction before it has committed.
 func New(p *prog.Program, cfg Config, maxInsts uint64) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	oracle, err := collectOracle(p, maxInsts)
-	if err != nil {
-		return nil, fmt.Errorf("core: functional pre-run failed: %w", err)
-	}
-	if oracle.Len() == 0 {
-		return nil, fmt.Errorf("core: program retired no instructions")
-	}
-
 	m := &Machine{
-		cfg:     cfg,
-		prog:    p,
-		decoded: p.Decoded(),
-		mem:     mem.NewMemory(),
-		oracle:  oracle,
+		cfg:      cfg,
+		prog:     p,
+		decoded:  p.Decoded(),
+		maxInsts: maxInsts,
+		mem:      mem.NewMemory(),
 	}
 	m.buildStructures(cfg)
 	m.resetRunState()
+	m.oracle.stream(m)
+	if err := m.oracle.start(); err != nil {
+		return nil, err
+	}
 	return m, nil
 }
 
@@ -195,16 +193,26 @@ func New(p *prog.Program, cfg Config, maxInsts uint64) (*Machine, error) {
 // different) configuration, reusing every microarchitectural structure
 // whose geometry is unchanged: the ROB and LSQ arrays, the event wheel and
 // its per-slot capacity, the checkpoint pool, the fetch ring (including the
-// RAS snapshot storage in each slot), the VPT/RB/cache/predictor tables,
-// and the sparse memory pages. The program, the functional oracle trace and
-// the instruction cap given to New are kept; Reset does not repeat the
-// functional pre-run.
+// RAS snapshot storage in each slot), the oracle window, the
+// VPT/RB/cache/predictor tables, and the sparse memory pages. The program
+// and the instruction cap given to New are kept (a machine NewRestored
+// built has no cap), and the oracle emulator is rewound in place to the
+// program entry.
 //
 // Determinism contract: a Reset machine produces bit-identical Stats,
 // Output and ExitCode to a machine built fresh by New with the same
 // program and configuration (TestResetDeterminism enforces this). Attached
 // observers, pipe tracers and cycle hooks are per-run and are detached.
 func (m *Machine) Reset(cfg Config) error {
+	if err := m.reset(cfg); err != nil {
+		return err
+	}
+	m.oracle.stream(m)
+	return m.oracle.start()
+}
+
+// reset is Reset without the oracle: ResetTo supplies its own producer.
+func (m *Machine) reset(cfg Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
@@ -272,6 +280,7 @@ func (m *Machine) buildStructures(cfg Config) {
 	if len(m.fetchQ) != cfg.FetchQueue {
 		m.fetchQ = make([]fetched, cfg.FetchQueue)
 	}
+	m.oracle.size(cfg.ROBSize)
 
 	m.aluPool = m.aluPool.reset(cfg.IntALUs)
 	m.lsPool = m.lsPool.reset(cfg.MemPorts)
@@ -394,9 +403,11 @@ func (m *Machine) ExitCode() int { return m.exitCode }
 // Halted reports whether the simulated program has finished.
 func (m *Machine) Halted() bool { return m.halted }
 
-// Oracle exposes the functional trace (for the harness's spurious-squash
-// classification and for tests).
-func (m *Machine) Oracle() *emu.TraceLog { return m.oracle }
+// Oracle exposes the oracle window as a TraceLog: the columns are the
+// window's ring (trace index i sits at i modulo their length, and only the
+// in-flight range is live), and Output, ExitCode and Halted are the
+// producer's — for a streamed machine, as far as the emulator has run.
+func (m *Machine) Oracle() *emu.TraceLog { return m.oracle.traceLog() }
 
 // Cycle returns the current machine cycle.
 func (m *Machine) Cycle() uint64 { return m.cycle }
@@ -433,10 +444,12 @@ func (m *Machine) OnCycle(fn func(cycle uint64)) {
 const noLimit = ^uint64(0)
 
 // Run simulates up to maxCycles further cycles (0 = no limit), stopping
-// early when the program halts. It returns an error only on an internal
-// consistency failure: a *SimError divergence from the functional oracle,
+// early when the program halts. It returns an error on an internal
+// consistency failure — a *SimError divergence from the functional oracle,
 // or a *SimError watchdog trip when the pipeline stops making retirement
-// progress (livelock/deadlock detection).
+// progress (livelock/deadlock detection) — or, wrapping *emu.Fault, when
+// the program's correct path faults after every instruction before the
+// fault has committed.
 //
 // Quiescent cycles — cycles in which no stage can change any state — are
 // fast-forwarded in bulk instead of executed one at a time (see skip.go);

@@ -37,10 +37,10 @@ type RestoreState struct {
 
 // ResetTo rewinds the machine onto a checkpoint: a Reset under cfg, but
 // with the architectural state, memory image and warm predictor state taken
-// from st and the correct-path oracle replaced by the interval's trace
-// (typically re-collected functionally from the same checkpoint). The
-// machine then simulates the interval in detail and halts when the oracle
-// is exhausted, exactly as a full run halts at program end.
+// from st and the correct-path oracle fed from the interval's trace
+// (typically re-collected functionally from the same checkpoint) instead of
+// the emulator. The machine then simulates the interval in detail and halts
+// when the oracle is exhausted, exactly as a full run halts at program end.
 //
 // The Reset determinism contract extends here: ResetTo with the same
 // (cfg, st, oracle) produces bit-identical Stats on any machine built for
@@ -49,15 +49,15 @@ func (m *Machine) ResetTo(cfg Config, st *RestoreState, oracle *emu.TraceLog) er
 	if oracle.Len() == 0 {
 		return fmt.Errorf("core: empty interval oracle")
 	}
-	if err := m.Reset(cfg); err != nil {
+	if err := m.reset(cfg); err != nil {
 		return err
 	}
-	m.oracle = oracle
+	m.oracle.replay(oracle)
 	return m.applyRestore(st)
 }
 
-// NewRestored builds a machine directly on a checkpoint, skipping New's
-// functional pre-run: the caller supplies the interval oracle.
+// NewRestored builds a machine directly on a checkpoint: the caller
+// supplies the interval oracle, and no emulator is started.
 func NewRestored(p *prog.Program, cfg Config, st *RestoreState, oracle *emu.TraceLog) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -70,10 +70,10 @@ func NewRestored(p *prog.Program, cfg Config, st *RestoreState, oracle *emu.Trac
 		prog:    p,
 		decoded: p.Decoded(),
 		mem:     mem.NewMemory(),
-		oracle:  oracle,
 	}
 	m.buildStructures(cfg)
 	m.resetRunState()
+	m.oracle.replay(oracle)
 	if err := m.applyRestore(st); err != nil {
 		return nil, err
 	}

@@ -68,9 +68,9 @@ func (m *Machine) squashAfter(idx int32, e *robEntry) {
 	switch {
 	case e.traceIdx < 0:
 		m.traceCursor = -2 // still on a wrong path
-	case e.traceIdx+1 >= int64(m.oracle.Len()):
-		m.traceCursor = int64(m.oracle.Len()) // past the end of the trace
-	case m.oracle.PC[e.traceIdx+1] == e.actualNext:
+	case !m.oracle.has(e.traceIdx + 1):
+		m.traceCursor = e.traceIdx + 1 // past the end of the trace
+	case m.oracle.pcAt(e.traceIdx+1) == e.actualNext:
 		m.traceCursor = e.traceIdx + 1
 	default:
 		m.traceCursor = -2 // spurious redirect: the new path is wrong

@@ -69,6 +69,20 @@ func New(p *prog.Program) *CPU {
 	return c
 }
 
+// Reset rewinds the CPU to the state New left it in, reusing the sparse
+// memory's pages instead of reallocating them. TraceFn is kept.
+func (c *CPU) Reset() {
+	c.Mem.Reset()
+	c.Mem.LoadProgram(c.prog)
+	c.Regs = [isa.NumArchRegs]isa.Word{}
+	c.Regs[isa.RegSP] = isa.Word(prog.StackTop)
+	c.PC = c.prog.Entry
+	c.Halted = false
+	c.ExitCode = 0
+	c.Output.Reset()
+	c.InstCount = 0
+}
+
 // Program returns the loaded program.
 func (c *CPU) Program() *prog.Program { return c.prog }
 

@@ -23,7 +23,7 @@ import (
 // Runner executes and caches simulations. It is hardened for long
 // campaigns: each run is bounded by an optional wall-clock deadline, panics
 // in a simulation are converted to errors instead of killing the whole
-// fleet, failures marked Transient are retried a bounded number of times,
+// campaign, failures marked Transient are retried a bounded number of times,
 // and RunAll aggregates every per-benchmark error while still returning the
 // successful partial results.
 type Runner struct {

@@ -23,9 +23,9 @@ type SampleSpec struct {
 }
 
 // samplePoolSuffix separates sampled machines from plain ones in a worker's
-// pool. The two reset paths differ — Reset keeps the whole-program oracle,
-// ResetTo replaces it with an interval oracle — so a machine must never
-// migrate between the populations.
+// pool. NewRestored builds a machine with no instruction cap, so a Reset
+// would stream it to the end of the program rather than to Runner.MaxInsts;
+// a machine must never migrate between the populations.
 const samplePoolSuffix = "\x00sample"
 
 // ffEntry is one fast-forward pass, computed once per (bench, cfg, plan,

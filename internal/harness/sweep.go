@@ -41,7 +41,7 @@ type SweepResult struct {
 	Summary *sample.Summary
 	// Attempts records which attempt produced this result: 0 for a cache
 	// hit, 1 for a first-try success, n > 1 when n−1 transient failures were
-	// retried. It makes hedged/retried interval cells auditable — a stitched
+	// retried. It makes retried interval cells auditable — a stitched
 	// summary can report exactly which intervals needed retries.
 	Attempts int
 	Err      error
@@ -77,7 +77,7 @@ func (r *Runner) workers() int {
 // indexed exactly like cells — the result order is deterministic no matter
 // how the work was scheduled. Each worker owns a private set of machines,
 // one per benchmark, that it rewinds with Machine.Reset between
-// configurations instead of paying core.New's functional pre-run again;
+// configurations instead of building a new one;
 // Machine.Reset's determinism contract is what makes the parallel sweep
 // bit-identical to a serial one.
 //

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"strings"
 	"testing"
 )
 
@@ -106,50 +105,5 @@ func TestSeriesJSON(t *testing.T) {
 	}
 	if string(b) != `{"fields":[],"rows":[]}` {
 		t.Fatalf("nil series JSON = %s", b)
-	}
-}
-
-// TestEscapeLabelValue pins the three escapes the Prometheus text format
-// requires in label values.
-func TestEscapeLabelValue(t *testing.T) {
-	cases := []struct{ in, want string }{
-		{`plain`, `plain`},
-		{`http://w1:8080`, `http://w1:8080`},
-		{`a"b`, `a\"b`},
-		{`a\b`, `a\\b`},
-		{"a\nb", `a\nb`},
-		{"\\\"\n", `\\\"\n`},
-		{``, ``},
-	}
-	for _, c := range cases {
-		if got := EscapeLabelValue(c.in); got != c.want {
-			t.Errorf("EscapeLabelValue(%q) = %q, want %q", c.in, got, c.want)
-		}
-	}
-}
-
-// TestWriteLabeledGauge checks the family layout (one TYPE header, one
-// sample per row), the name sanitization shared with the Registry
-// exporter, label-key sanitization, and value escaping end to end.
-func TestWriteLabeledGauge(t *testing.T) {
-	var sb strings.Builder
-	err := WriteLabeledGauge(&sb, "coord.backend.state", []LabeledSample{
-		{Labels: []Label{{Key: "backend", Value: `http://w1:8080`}, {Key: "state", Value: "closed"}}, Value: 1},
-		{Labels: []Label{{Key: "backend", Value: "evil\"\nurl"}, {Key: "bad key!", Value: `x\y`}}, Value: 0},
-		{Value: 3.5},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := "# TYPE vpir_coord_backend_state gauge\n" +
-		"vpir_coord_backend_state{backend=\"http://w1:8080\",state=\"closed\"} 1\n" +
-		"vpir_coord_backend_state{backend=\"evil\\\"\\nurl\",bad_key_=\"x\\\\y\"} 0\n" +
-		"vpir_coord_backend_state 3.5\n"
-	if sb.String() != want {
-		t.Fatalf("output:\n%s\nwant:\n%s", sb.String(), want)
-	}
-	var empty strings.Builder
-	if err := WriteLabeledGauge(&empty, "x", nil); err != nil || empty.Len() != 0 {
-		t.Fatalf("empty family should write nothing, got %q (err %v)", empty.String(), err)
 	}
 }

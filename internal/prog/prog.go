@@ -62,7 +62,7 @@ func (p *Program) Symbol(name string) (uint32, error) {
 // Production load paths (workload.Workload.Load, the harness Runner, the
 // command-line tools) must use Symbol and propagate the error: a missing
 // symbol there is bad input, not a bug, and long simulation campaigns must
-// degrade to a per-run error instead of crashing the fleet. (The harness
+// degrade to a per-run error instead of crashing the campaign. (The harness
 // additionally converts stray panics in a run to errors, but that is a
 // backstop, not an excuse.)
 func (p *Program) MustSymbol(name string) uint32 {

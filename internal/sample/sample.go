@@ -9,8 +9,7 @@
 //
 // Checkpoints are the unit of parallelism: intervals are independent once
 // their checkpoints exist, so they fan out across the harness worker pool
-// locally and across machines as sweep cells (see internal/harness and
-// internal/coord). Determinism is preserved end to end — the same plan over
+// as sweep cells (see internal/harness). Determinism is preserved end to end — the same plan over
 // the same program yields bit-identical checkpoints, interval statistics and
 // stitched totals regardless of execution order, and a plan covering the
 // whole program in one interval reproduces a non-sampled run exactly.

@@ -58,8 +58,8 @@ type poolResult struct {
 // pool is the bounded worker pool behind POST /v1/run. Each worker owns a
 // private set of machines it rewinds with Machine.Reset between requests
 // (the same reuse model as the harness sweep engine), so steady-state
-// traffic over a working set of benchmarks pays core.New's functional
-// pre-run only once per (worker, benchmark).
+// traffic over a working set of benchmarks builds one machine per
+// (worker, benchmark).
 type pool struct {
 	jobs chan *poolJob
 	wg   sync.WaitGroup

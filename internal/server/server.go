@@ -213,7 +213,7 @@ func writeError(w http.ResponseWriter, code int, msg string) {
 
 // writeDraining is the 503 rejection while draining; Retry-After tells
 // well-behaved clients and load balancers when to try again instead of
-// abandoning the fleet member forever.
+// abandoning the server forever.
 func writeDraining(w http.ResponseWriter) {
 	w.Header().Set("Retry-After", retryAfterSeconds)
 	writeError(w, http.StatusServiceUnavailable, "server is draining")

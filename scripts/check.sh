@@ -3,7 +3,8 @@
 # race-enabled tests, the deterministic fault-injection smoke campaign (see
 # docs/robustness.md), the golden corpus with and without cycle skipping,
 # fuzz smoke, the dashboard smoke against a real server binary, and the
-# sampled-simulation smoke.
+# sampled-simulation smoke. CPU and allocation profiles are a separate
+# step: `make profile` (see docs/performance.md).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -62,20 +63,5 @@ echo "== sampled-simulation smoke (bit-identity + stitched-IPC tolerance) =="
 # non-sampled run bit for bit, and a sparse plan's stitched IPC must land
 # within tolerance of the full-detail IPC (see docs/sampling.md).
 go run ./scripts/samplesmoke
-
-# Opt-in profiling pass: VPIR_PROFILE=1 scripts/check.sh additionally
-# captures CPU and allocation profiles of the three pipeline variants into
-# profiles/ (same as `make profile`; see docs/performance.md).
-if [ "${VPIR_PROFILE:-0}" = "1" ]; then
-    echo "== profiles (VPIR_PROFILE=1) =="
-    mkdir -p profiles
-    go test -run '^$' -bench 'BenchmarkSimBase$' -benchtime 5x \
-        -cpuprofile profiles/base.cpu.pprof -memprofile profiles/base.mem.pprof .
-    go test -run '^$' -bench 'BenchmarkSimIR$' -benchtime 5x \
-        -cpuprofile profiles/ir.cpu.pprof -memprofile profiles/ir.mem.pprof .
-    go test -run '^$' -bench 'BenchmarkSimVP$' -benchtime 5x \
-        -cpuprofile profiles/vp.cpu.pprof -memprofile profiles/vp.mem.pprof .
-    echo "profiles written to profiles/"
-fi
 
 echo "check: all gates passed"
