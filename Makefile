@@ -103,12 +103,13 @@ bench-all:
 # fails if simcycles/s regressed by more than 10% against the committed
 # BENCH_baseline.json, or if any benchmark allocates more than 10,000
 # allocs/op in absolute terms (the hot loops are allocation-free; the
-# remaining allocations are machine construction and the functional
-# pre-run). Refresh the baseline with `make bench` after a deliberate
-# performance change. BenchmarkSampledSpeedup then runs standalone: it
-# self-gates at 5x effective simcycles/s over serial detailed simulation on
-# a paper-scale workload, and stays out of the baseline because its
-# interval-oracle allocations are by design far above the alloc ceiling.
+# remaining allocations are machine construction, including the run-ahead
+# emulator and ring of the oracle window). Refresh the baseline with `make
+# bench` after a deliberate performance change. BenchmarkSampledSpeedup
+# then runs standalone: it self-gates at 5x effective simcycles/s over
+# serial detailed simulation on a paper-scale workload, and stays out of
+# the baseline because its interval-oracle allocations are by design far
+# above the alloc ceiling.
 bench-check:
 	@tmp="$$(mktemp -d)"; \
 	$(GO) test -run '^$$' -bench 'BenchmarkSim|BenchmarkEmu' -benchmem . > "$$tmp/bench.txt" \
@@ -121,9 +122,11 @@ bench-check:
 	[ $$status -eq 0 ] || exit $$status; \
 	$(GO) test -run '^$$' -bench 'BenchmarkSampledSpeedup' -benchtime 1x .
 
-# CPU and allocation profiles of the three pipeline variants, written to
-# profiles/ for `go tool pprof` spelunking (see docs/performance.md for how
-# to read them and what the current hot paths are).
+# CPU and allocation profiles of the three pipeline variants, plus the CPU
+# profile of an IR fast-forward pass (both goroutines: the emulator with its
+# inline warming, and the reuse-buffer warmer), written to profiles/ for
+# `go tool pprof` spelunking (see docs/performance.md for how to read them
+# and what the current hot paths are).
 profile:
 	@mkdir -p profiles
 	$(GO) test -run '^$$' -bench 'BenchmarkSimBase$$' -benchtime 5x \
@@ -132,6 +135,8 @@ profile:
 		-cpuprofile profiles/ir.cpu.pprof -memprofile profiles/ir.mem.pprof .
 	$(GO) test -run '^$$' -bench 'BenchmarkSimVP$$' -benchtime 5x \
 		-cpuprofile profiles/vp.cpu.pprof -memprofile profiles/vp.mem.pprof .
+	$(GO) test -run '^$$' -bench 'BenchmarkFastForward/ir$$' -benchtime 5x \
+		-cpuprofile profiles/ff-ir.cpu.pprof ./internal/sample
 	@echo "profiles written to profiles/ (go tool pprof -top profiles/ir.cpu.pprof)"
 
 clean:

@@ -204,11 +204,13 @@ func BenchmarkFaultCampaign(b *testing.B) {
 	}
 }
 
-// Fast-forward throughput: the functional emulator with predictor/cache/
-// RB warming and checkpoint capture running, i.e. what sampled simulation
-// pays per skipped instruction. The gap to BenchmarkEmulator is the cost
-// of warming; the gap to BenchmarkSimBase is the speedup ceiling sampling
-// can buy.
+// Fast-forward throughput on the base machine: the functional emulator with
+// branch predictor and cache warming and checkpoint capture running, i.e.
+// what a base-config sampled run pays per skipped instruction. The base
+// warmer carries no VPT or RB; internal/sample's BenchmarkFastForward
+// covers the technique tables. The gap to BenchmarkEmulator is the cost of
+// warming; the gap to BenchmarkSimBase is the speedup ceiling sampling can
+// buy.
 func BenchmarkEmuFastForward(b *testing.B) {
 	if testing.Short() {
 		b.Skip("fast-forward benchmark skipped in -short mode")

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"github.com/vpir-sim/vpir/internal/core"
+	"github.com/vpir-sim/vpir/internal/prog"
 	"github.com/vpir-sim/vpir/internal/redundancy"
 	"github.com/vpir-sim/vpir/internal/sample"
 	"github.com/vpir-sim/vpir/internal/stats"
@@ -69,6 +70,9 @@ type Runner struct {
 	// runHook, when non-nil, replaces the simulation in attempt; tests use
 	// it to inject failures, panics and transient errors.
 	runHook func(bench string, cfg core.Config) (core.Stats, error)
+	// ffHook, when non-nil, replaces sample.FastForward in fastForward;
+	// tests use it to inject a panicking pass.
+	ffHook func(p *prog.Program, cfg core.Config, plan sample.Plan, maxInsts uint64) (*sample.FFResult, error)
 }
 
 // Transient wraps an error to mark the failed run as retryable (an external

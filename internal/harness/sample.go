@@ -56,6 +56,13 @@ func (r *Runner) fastForward(bench string, cfg core.Config, plan sample.Plan) (*
 	}
 	r.mu.Unlock()
 	e.once.Do(func() {
+		// A panic must land in e.err: Once counts a panicking Do as done, and
+		// every later caller would otherwise get a nil result and no error.
+		defer func() {
+			if p := recover(); p != nil {
+				e.err = fmt.Errorf("harness: panic fast-forwarding %s under %s: %v", bench, cfg.Name(), p)
+			}
+		}()
 		w, err := workload.Get(bench)
 		if err != nil {
 			e.err = err
@@ -67,7 +74,11 @@ func (r *Runner) fastForward(bench string, cfg core.Config, plan sample.Plan) (*
 			return
 		}
 		e.prog = p
-		e.ff, e.err = sample.FastForward(p, cfg, plan, r.MaxInsts)
+		ff := sample.FastForward
+		if r.ffHook != nil {
+			ff = r.ffHook
+		}
+		e.ff, e.err = ff(p, cfg, plan, r.MaxInsts)
 	})
 	return e.prog, e.ff, e.err
 }

@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 
 	"github.com/vpir-sim/vpir/internal/core"
+	"github.com/vpir-sim/vpir/internal/prog"
 	"github.com/vpir-sim/vpir/internal/sample"
 )
 
@@ -132,6 +134,41 @@ func TestSweepAttemptsAudit(t *testing.T) {
 	}
 	if res.Attempts != 2 {
 		t.Fatalf("failed cell reported Attempts = %d, want 2 (initial + 1 retry)", res.Attempts)
+	}
+}
+
+// TestFastForwardPanicIsAnError: a fast-forward pass that panics inside the
+// singleflight must come back as an error naming the bench and config, to
+// the first caller and to every later one that shares the cached pass —
+// never as a nil result with a nil error.
+func TestFastForwardPanicIsAnError(t *testing.T) {
+	r := NewRunner()
+	var calls atomic.Int64
+	r.ffHook = func(*prog.Program, core.Config, sample.Plan, uint64) (*sample.FFResult, error) {
+		calls.Add(1)
+		panic("warming exploded")
+	}
+	cfg := core.IRChoice(false)
+	plan := sample.Plan{Interval: 10_000}
+	check := func(what string, err error) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("%s: no error from a panicking fast-forward", what)
+		}
+		for _, want := range []string{"compress", cfg.Name(), "warming exploded"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s: error %q does not mention %q", what, err, want)
+			}
+		}
+	}
+	for i := range 2 {
+		_, err := r.RunSampled(context.Background(), "compress", cfg, plan)
+		check(fmt.Sprintf("RunSampled #%d", i+1), err)
+	}
+	res := r.Sweep(context.Background(), []SweepCell{{Bench: "compress", Cfg: cfg, Sample: &SampleSpec{Plan: plan, Index: 0}}})[0]
+	check("interval cell", res.Err)
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("fast-forward ran %d times, want once", n)
 	}
 }
 

@@ -14,6 +14,10 @@ import (
 // (max(0, S_k − Warmup)). maxInsts caps the dynamic instruction count like
 // core.New's cap (0 = to completion).
 //
+// With an RB, the RB is warmed on a second goroutine fed from this one (see
+// rbWarmer), which FastForward joins before it returns on every path,
+// re-raising any panic it hit.
+//
 // The pass is deterministic: the same (program, cfg, plan, maxInsts) yields
 // byte-identical checkpoints. The first checkpoint of any plan is captured
 // at instruction 0 before any warming, so restoring it reproduces a cold
@@ -30,6 +34,7 @@ func FastForward(p *prog.Program, cfg core.Config, plan Plan, maxInsts uint64) (
 
 	cpu := emu.New(p)
 	w := newWarmer(cfg)
+	defer w.stop()
 	cpu.TraceFn = w.observe
 
 	ff := &FFResult{Plan: plan}
