@@ -37,7 +37,6 @@ func run() int {
 	exp := flag.String("exp", "all", "experiment id (table1..table6, fig3..fig10) or 'all'")
 	scale := flag.Int("scale", 1, "workload scale factor")
 	maxInsts := flag.Uint64("maxinsts", 0, "cap dynamic instructions per run (0 = full)")
-	serial := flag.Bool("serial", false, "run benchmarks sequentially (same as -parallel 1)")
 	parallel := flag.Int("parallel", 0, "sweep worker count (0 = GOMAXPROCS); results are identical at any setting")
 	sampleEvery := flag.Uint64("sample", 0, "checkpointed sampling: measure 1 interval in every N (0 = off, 1 = 100% coverage)")
 	intervalLen := flag.Uint64("interval", 100_000, "sampling: measured interval length in instructions")
@@ -75,7 +74,6 @@ func run() int {
 	r := harness.NewRunner()
 	r.Scale = *scale
 	r.MaxInsts = *maxInsts
-	r.Parallel = !*serial && *parallel != 1
 	r.Parallelism = *parallel
 	if *metricsDir != "" {
 		r.Obs = &harness.ObsExport{Dir: *metricsDir, Interval: *interval, Events: true}

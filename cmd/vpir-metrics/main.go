@@ -9,29 +9,6 @@
 //	vpir-metrics -fields ipc,rob_occupancy f   # a subset
 //	vpir-metrics -rates f                      # per-interval deltas of the counters
 //	vpir-metrics -list f                       # just the field names
-//
-// It also converts `go test -bench` text output into the JSONL baseline
-// format used by `make bench` (see docs/observability.md):
-//
-//	go test -run '^$' -bench BenchmarkSim -benchmem . | vpir-metrics -bench2json -
-//
-// And it compares two baseline files benchstat-style, for CI gating
-// (`make bench-check`):
-//
-//	vpir-metrics -compare old.json new.json
-//	vpir-metrics -compare -threshold 0.10 -units simcycles/s old.json new.json
-//
-// With -threshold, the exit status is 1 when any compared dimension
-// regressed by more than the given fraction (for throughput units like
-// simcycles/s a *drop* is the regression; for per-op units a rise is).
-// -units restricts the gate and the table to a comma-separated subset.
-//
-// -max-allocs adds an absolute ceiling on top of the relative gate: any
-// benchmark in the NEW file whose allocs/op exceeds the ceiling fails the
-// comparison even if it did not regress relative to the old baseline. This
-// keeps the simulator's hot loops allocation-free in absolute terms — a
-// relative gate alone would let a slow allocation creep survive baseline
-// refreshes.
 package main
 
 import (
@@ -55,20 +32,8 @@ func run() int {
 	rates := flag.Bool("rates", false, "show per-interval deltas instead of cumulative values")
 	list := flag.Bool("list", false, "list the field names and exit")
 	width := flag.Int("width", 24, "sparkline width in characters")
-	bench2json := flag.Bool("bench2json", false, "convert `go test -bench` text on the input to baseline JSONL on stdout")
-	compare := flag.Bool("compare", false, "compare two baseline JSONL files (old new) and print a delta table")
-	threshold := flag.Float64("threshold", 0, "with -compare: exit 1 when any dimension regresses by more than this fraction (0 = report only)")
-	units := flag.String("units", "", "with -compare: comma-separated subset of units to show and gate on (default: all)")
-	maxAllocs := flag.Float64("max-allocs", 0, "with -compare: exit 1 when any new benchmark exceeds this allocs/op ceiling (0 = no ceiling)")
 	flag.Parse()
 
-	if *compare {
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "vpir-metrics: -compare needs exactly two baseline files: old new")
-			return 2
-		}
-		return compareBaselines(flag.Arg(0), flag.Arg(1), *threshold, *units, *maxAllocs)
-	}
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "vpir-metrics: need exactly one input file ('-' for stdin)")
 		return 2
@@ -78,20 +43,6 @@ func run() int {
 		return fail(err)
 	}
 	defer in.Close()
-
-	if *bench2json {
-		results, err := stats.ParseBench(in)
-		if err != nil {
-			return fail(err)
-		}
-		if len(results) == 0 {
-			return fail(fmt.Errorf("no benchmark lines in %s", flag.Arg(0)))
-		}
-		if err := stats.WriteBenchJSON(os.Stdout, results); err != nil {
-			return fail(err)
-		}
-		return 0
-	}
 
 	series, err := obs.ReadSeriesJSONL(in)
 	if err != nil {
@@ -138,92 +89,6 @@ func run() int {
 			stats.Sparkline(col, *width))
 	}
 	fmt.Print(tab.String())
-	return 0
-}
-
-// compareBaselines renders the old→new delta table and applies the
-// regression gate, plus the absolute allocs/op ceiling when set.
-func compareBaselines(oldPath, newPath string, threshold float64, unitFilter string, maxAllocs float64) int {
-	read := func(path string) ([]stats.BenchResult, error) {
-		f, err := open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return stats.ReadBenchJSON(f)
-	}
-	oldRes, err := read(oldPath)
-	if err != nil {
-		return fail(err)
-	}
-	newRes, err := read(newPath)
-	if err != nil {
-		return fail(err)
-	}
-	deltas := stats.DiffBench(oldRes, newRes)
-	if unitFilter != "" {
-		wanted := make(map[string]bool)
-		for _, u := range strings.Split(unitFilter, ",") {
-			wanted[strings.TrimSpace(u)] = true
-		}
-		kept := deltas[:0]
-		for _, d := range deltas {
-			if wanted[d.Unit] {
-				kept = append(kept, d)
-			}
-		}
-		deltas = kept
-	}
-	if len(deltas) == 0 {
-		return fail(fmt.Errorf("no comparable benchmark dimensions between %s and %s", oldPath, newPath))
-	}
-
-	tab := &stats.Table{
-		ID:      "bench-compare",
-		Title:   fmt.Sprintf("%s -> %s", oldPath, newPath),
-		Columns: []string{"benchmark", "unit", "old", "new", "delta", ""},
-	}
-	worst := 0.0
-	var failures []string
-	for _, d := range deltas {
-		mark := ""
-		if reg := d.Regression(); reg > worst {
-			worst = reg
-		}
-		if threshold > 0 && d.Regression() > threshold {
-			mark = "REGRESSION"
-			failures = append(failures, fmt.Sprintf("%s %s %+.1f%%", d.Name, d.Unit, 100*d.Delta))
-		}
-		tab.AddRow(d.Name, d.Unit, fmtVal(d.Old), fmtVal(d.New),
-			fmt.Sprintf("%+.2f%%", 100*d.Delta), mark)
-	}
-	fmt.Print(tab.String())
-	var overCeiling []string
-	if maxAllocs > 0 {
-		for _, r := range newRes {
-			if r.AllocsPerOp > maxAllocs {
-				overCeiling = append(overCeiling,
-					fmt.Sprintf("%s %.0f allocs/op", r.Name, r.AllocsPerOp))
-			}
-		}
-	}
-	if threshold > 0 || maxAllocs > 0 {
-		if len(failures) > 0 {
-			fmt.Fprintf(os.Stderr, "vpir-metrics: %d dimension(s) regressed beyond %.0f%%: %s\n",
-				len(failures), 100*threshold, strings.Join(failures, "; "))
-			return 1
-		}
-		if len(overCeiling) > 0 {
-			fmt.Fprintf(os.Stderr, "vpir-metrics: %d benchmark(s) over the %.0f allocs/op ceiling: %s\n",
-				len(overCeiling), maxAllocs, strings.Join(overCeiling, "; "))
-			return 1
-		}
-		fmt.Printf("gate ok: worst regression %.2f%% within %.0f%% threshold", 100*worst, 100*threshold)
-		if maxAllocs > 0 {
-			fmt.Printf("; all benchmarks within %.0f allocs/op", maxAllocs)
-		}
-		fmt.Println()
-	}
 	return 0
 }
 

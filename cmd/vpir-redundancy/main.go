@@ -23,11 +23,10 @@ func main() {
 	file := flag.String("file", "", "assembly source file instead of a benchmark")
 	scale := flag.Int("scale", 1, "workload scale factor")
 	maxInsts := flag.Uint64("maxinsts", 0, "instruction cap (0 = full run)")
-	dist := flag.Uint64("dist", 50, "producer distance readiness horizon")
-	instances := flag.Int("instances", 10_000, "buffered instances per static instruction")
+	cfg := redundancy.DefaultConfig()
+	flag.Uint64Var(&cfg.ProdDistance, "dist", cfg.ProdDistance, "producer distance readiness horizon")
+	flag.IntVar(&cfg.MaxInstances, "instances", cfg.MaxInstances, "buffered instances per static instruction")
 	flag.Parse()
-
-	cfg := redundancy.Config{MaxInstances: *instances, ProdDistance: *dist}
 
 	header := fmt.Sprintf("%-10s %9s | %6s %6s %6s %6s | %7s %7s %7s | %6s %6s",
 		"bench", "insts", "uniq%", "rep%", "deriv%", "unacc%", "reused%", "far%", "near%", "redun%", "reuse%")

@@ -27,11 +27,11 @@ func main() {
 		{"base", vpir.Options{}},
 		{"IR", vpir.Options{Technique: vpir.IR}},
 		{"VP Magic ME-SB vlat=0", vpir.Options{Technique: vpir.VP}},
-		{"VP Magic ME-NSB vlat=0", vpir.Options{Technique: vpir.VP, BranchResolution: "nsb"}},
-		{"VP Magic ME-SB vlat=1", vpir.Options{Technique: vpir.VP, VerifyLatency: 1}},
-		{"VP Magic ME-NSB vlat=1", vpir.Options{Technique: vpir.VP, BranchResolution: "nsb", VerifyLatency: 1}},
-		{"VP LVP ME-SB vlat=1", vpir.Options{Technique: vpir.VP, Scheme: "lvp", VerifyLatency: 1}},
-		{"VP LVP ME-NSB vlat=1", vpir.Options{Technique: vpir.VP, Scheme: "lvp", BranchResolution: "nsb", VerifyLatency: 1}},
+		{"VP Magic ME-NSB vlat=0", vpir.Options{Technique: vpir.VP, Knobs: vpir.Knobs{BranchResolution: "nsb"}}},
+		{"VP Magic ME-SB vlat=1", vpir.Options{Technique: vpir.VP, Knobs: vpir.Knobs{VerifyLatency: 1}}},
+		{"VP Magic ME-NSB vlat=1", vpir.Options{Technique: vpir.VP, Knobs: vpir.Knobs{BranchResolution: "nsb", VerifyLatency: 1}}},
+		{"VP LVP ME-SB vlat=1", vpir.Options{Technique: vpir.VP, Knobs: vpir.Knobs{Scheme: "lvp", VerifyLatency: 1}}},
+		{"VP LVP ME-NSB vlat=1", vpir.Options{Technique: vpir.VP, Knobs: vpir.Knobs{Scheme: "lvp", BranchResolution: "nsb", VerifyLatency: 1}}},
 	}
 
 	fmt.Printf("branch interactions on %q (branch prediction is hardest here)\n\n", bench)

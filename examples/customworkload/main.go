@@ -89,9 +89,9 @@ func main() {
 		opt   vpir.Options
 	}{
 		{"instruction reuse", vpir.Options{Technique: vpir.IR}},
-		{"IR, late validation (fig 3)", vpir.Options{Technique: vpir.IR, LateValidation: true}},
+		{"IR, late validation (fig 3)", vpir.Options{Technique: vpir.IR, Knobs: vpir.Knobs{LateValidation: true}}},
 		{"VP_Magic ME-SB", vpir.Options{Technique: vpir.VP}},
-		{"VP_LVP ME-SB", vpir.Options{Technique: vpir.VP, Scheme: "lvp"}},
+		{"VP_LVP ME-SB", vpir.Options{Technique: vpir.VP, Knobs: vpir.Knobs{Scheme: "lvp"}}},
 	} {
 		res, err := vpir.RunBenchmark("strmatch", 1, c.opt)
 		if err != nil {

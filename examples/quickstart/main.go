@@ -51,9 +51,9 @@ func main() {
 		{"instruction reuse", vpir.Options{Technique: vpir.IR}},
 		{"value prediction (Magic, ME-SB)", vpir.Options{Technique: vpir.VP}},
 		{"value prediction (LVP, ME-SB, vlat=1)", vpir.Options{
-			Technique: vpir.VP, Scheme: "lvp", VerifyLatency: 1}},
+			Technique: vpir.VP, Knobs: vpir.Knobs{Scheme: "lvp", VerifyLatency: 1}}},
 		{"hybrid IR+VP (extension)", vpir.Options{
-			Technique: vpir.Hybrid, BranchResolution: "nsb"}},
+			Technique: vpir.Hybrid, Knobs: vpir.Knobs{BranchResolution: "nsb"}}},
 	}
 
 	var baseIPC float64

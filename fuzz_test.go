@@ -49,7 +49,7 @@ main:   lw $t1, val
 	f.Fuzz(func(t *testing.T, tech uint8, src string) {
 		opt := Options{
 			Technique:      techniques[int(tech)%len(techniques)],
-			Scheme:         schemes[int(tech/4)%len(schemes)],
+			Knobs:          Knobs{Scheme: schemes[int(tech/4)%len(schemes)]},
 			MaxInsts:       2_000,
 			WatchdogCycles: 20_000,
 		}

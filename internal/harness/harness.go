@@ -33,11 +33,9 @@ type Runner struct {
 	// MaxInsts caps the per-benchmark dynamic instruction count
 	// (0 = run each kernel to completion).
 	MaxInsts uint64
-	// Parallel runs benchmarks concurrently (per experiment). When false,
-	// sweeps are strictly serial regardless of Parallelism.
-	Parallel bool
-	// Parallelism is the sweep worker count (0 = GOMAXPROCS). Each worker
-	// keeps one reusable machine per benchmark (see Sweep).
+	// Parallelism is the sweep worker count (0 = GOMAXPROCS; 1 = strictly
+	// serial, in cell order). Each worker keeps one reusable machine per
+	// benchmark (see Sweep).
 	Parallelism int
 	// Timeout bounds each simulation's wall-clock time (0 = unbounded).
 	// A run that exceeds it fails with context.DeadlineExceeded.
@@ -91,10 +89,9 @@ func IsTransient(err error) bool {
 // NewRunner builds a Runner with the standard scale.
 func NewRunner() *Runner {
 	return &Runner{
-		Scale:    1,
-		Parallel: true,
-		cache:    make(map[string]cellOutcome),
-		red:      make(map[string]*redundancy.Result),
+		Scale: 1,
+		cache: make(map[string]cellOutcome),
+		red:   make(map[string]*redundancy.Result),
 	}
 }
 

@@ -18,7 +18,9 @@ func TestRunAllPartialResults(t *testing.T) {
 	for _, parallel := range []bool{false, true} {
 		t.Run(fmt.Sprintf("parallel=%v", parallel), func(t *testing.T) {
 			r := fastRunner()
-			r.Parallel = parallel
+			if !parallel {
+				r.Parallelism = 1
+			}
 			boom := errors.New("synthetic failure")
 			r.runHook = func(bench string, cfg core.Config) (core.Stats, error) {
 				if bench == "perl" {

@@ -43,7 +43,7 @@ func TestRunSampledParallelDeterminism(t *testing.T) {
 
 	serial := NewRunner()
 	serial.MaxInsts = 36_000
-	serial.Parallel = false
+	serial.Parallelism = 1
 	s1, err := serial.RunSampled(context.Background(), "go", cfg, plan)
 	if err != nil {
 		t.Fatal(err)

@@ -60,13 +60,9 @@ func Grid(benches []string, cfgs []core.Config) []SweepCell {
 	return cells
 }
 
-// workers resolves the Runner's parallelism: Parallel=false pins the sweep
-// to one worker (strictly serial, in cell order); otherwise Parallelism
-// sets the worker count, defaulting to GOMAXPROCS.
+// workers resolves the Runner's worker count: Parallelism, defaulting to
+// GOMAXPROCS.
 func (r *Runner) workers() int {
-	if !r.Parallel {
-		return 1
-	}
 	if r.Parallelism > 0 {
 		return r.Parallelism
 	}

@@ -29,9 +29,6 @@ func sweepRunner(parallelism int) *Runner {
 	r := NewRunner()
 	r.MaxInsts = 30_000
 	r.Parallelism = parallelism
-	if parallelism == 1 {
-		r.Parallel = false
-	}
 	return r
 }
 

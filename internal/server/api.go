@@ -11,26 +11,16 @@ import (
 	"github.com/vpir-sim/vpir/internal/technique"
 )
 
-// SimOptions is the wire form of one simulation configuration: the same
-// knobs as the library's Options, as JSON-friendly strings. The zero value
-// is the base machine.
+// SimOptions is the wire form of one simulation configuration: a
+// technique name, the technique knobs and the watchdog override. The knobs
+// are embedded, so their JSON fields sit beside "technique" exactly as if
+// they were declared here. The zero value is the base machine.
 type SimOptions struct {
 	// Technique is any registered technique name ("base" when empty):
 	// "base", "vp", "ir", "hybrid", "hybrid_conf", "vp_stride",
 	// "vp_2delta", "vp_fcm", … — see internal/technique.Names.
 	Technique string `json:"technique,omitempty"`
-	// Scheme is the VP scheme for the scheme-selectable techniques:
-	// "magic" (default), "lvp", "stride", "2delta" or "fcm".
-	Scheme string `json:"scheme,omitempty"`
-	// BranchResolution is "sb" (default) or "nsb".
-	BranchResolution string `json:"branch_resolution,omitempty"`
-	// Reexec is "me" (default) or "nme".
-	Reexec string `json:"reexec,omitempty"`
-	// VerifyLatency is the VP-verification latency in cycles.
-	VerifyLatency int `json:"verify_latency,omitempty"`
-	// LateValidation defers reuse benefits to execute (the Figure 3
-	// "late" experiment).
-	LateValidation bool `json:"late_validation,omitempty"`
+	technique.Knobs
 	// WatchdogCycles overrides the livelock watchdog (0 keeps the
 	// default, negative disables).
 	WatchdogCycles int64 `json:"watchdog_cycles,omitempty"`
@@ -41,7 +31,7 @@ type SimOptions struct {
 // the public vpir.Options delegates here so the library and the wire API
 // can never drift apart.
 func (o SimOptions) Config() (core.Config, error) {
-	cfg, err := o.baseConfig()
+	cfg, err := technique.Resolve(o.Technique, o.Knobs)
 	if err != nil {
 		return cfg, err
 	}
@@ -51,16 +41,6 @@ func (o SimOptions) Config() (core.Config, error) {
 		cfg.Watchdog = 0
 	}
 	return cfg, nil
-}
-
-func (o SimOptions) baseConfig() (core.Config, error) {
-	return technique.Resolve(o.Technique, technique.Knobs{
-		Scheme:           o.Scheme,
-		BranchResolution: o.BranchResolution,
-		Reexec:           o.Reexec,
-		VerifyLatency:    o.VerifyLatency,
-		LateValidation:   o.LateValidation,
-	})
 }
 
 // RunRequest is the body of POST /v1/run: one benchmark under one

@@ -6,31 +6,33 @@ import (
 	"testing"
 
 	"github.com/vpir-sim/vpir/internal/core"
+	"github.com/vpir-sim/vpir/internal/technique"
 )
 
 // optionVariants enumerates, per SimOptions field, values that must map to
-// distinct machine configurations. Every field of the struct must appear
-// here: the reflective walk below fails on any field it has no variants
-// for, so adding a wire knob without deciding its identity semantics is a
+// distinct machine configurations. Every field of the struct, including
+// each knob promoted from the embedded technique.Knobs, must appear here:
+// the reflective walk below fails on any field it has no variants for, so
+// adding a wire knob without deciding its identity semantics is a
 // compile-to-red change.
 var optionVariants = map[string][]SimOptions{
 	"Technique": {
 		{}, {Technique: "ir"}, {Technique: "vp"}, {Technique: "hybrid"},
 	},
 	"Scheme": {
-		{Technique: "vp"}, {Technique: "vp", Scheme: "lvp"}, {Technique: "vp", Scheme: "stride"},
+		{Technique: "vp"}, {Technique: "vp", Knobs: technique.Knobs{Scheme: "lvp"}}, {Technique: "vp", Knobs: technique.Knobs{Scheme: "stride"}},
 	},
 	"BranchResolution": {
-		{Technique: "vp"}, {Technique: "vp", BranchResolution: "nsb"},
+		{Technique: "vp"}, {Technique: "vp", Knobs: technique.Knobs{BranchResolution: "nsb"}},
 	},
 	"Reexec": {
-		{Technique: "vp"}, {Technique: "vp", Reexec: "nme"},
+		{Technique: "vp"}, {Technique: "vp", Knobs: technique.Knobs{Reexec: "nme"}},
 	},
 	"VerifyLatency": {
-		{Technique: "vp"}, {Technique: "vp", VerifyLatency: 3},
+		{Technique: "vp"}, {Technique: "vp", Knobs: technique.Knobs{VerifyLatency: 3}},
 	},
 	"LateValidation": {
-		{Technique: "ir"}, {Technique: "ir", LateValidation: true},
+		{Technique: "ir"}, {Technique: "ir", Knobs: technique.Knobs{LateValidation: true}},
 	},
 	"WatchdogCycles": {
 		{}, {WatchdogCycles: 12345}, {WatchdogCycles: -1},
@@ -44,9 +46,11 @@ var optionVariants = map[string][]SimOptions{
 // configurations — and (b) produce distinct Config.Key values across its
 // variants, so the result cache can never alias two different experiments.
 func TestSimOptionsKeyCoverage(t *testing.T) {
-	typ := reflect.TypeOf(SimOptions{})
-	for i := 0; i < typ.NumField(); i++ {
-		name := typ.Field(i).Name
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(SimOptions{})) {
+		if f.Anonymous {
+			continue // the embedded Knobs; its promoted fields follow
+		}
+		name := f.Name
 		variants, ok := optionVariants[name]
 		if !ok {
 			t.Errorf("SimOptions.%s has no entry in optionVariants; decide its cache-identity semantics", name)

@@ -11,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/vpir-sim/vpir/internal/technique"
 )
 
 // TestServerLoad hammers /v1/run from many goroutines over a mix of
@@ -34,7 +36,7 @@ func TestServerLoad(t *testing.T) {
 		{Bench: "vortex", MaxInsts: 15_000},
 		{Bench: "vortex", MaxInsts: 15_000, Options: SimOptions{Technique: "ir"}},
 		{Bench: "gcc", MaxInsts: 15_000, Options: SimOptions{Technique: "vp"}},
-		{Bench: "compress", MaxInsts: 15_000, Options: SimOptions{Technique: "vp", Scheme: "lvp"}},
+		{Bench: "compress", MaxInsts: 15_000, Options: SimOptions{Technique: "vp", Knobs: technique.Knobs{Scheme: "lvp"}}},
 	}
 	const (
 		goroutines = 8

@@ -277,7 +277,6 @@ func (s *Server) newRunner(scale int, maxInsts uint64) *harness.Runner {
 	runner := harness.NewRunner()
 	runner.Scale = scale
 	runner.MaxInsts = maxInsts
-	runner.Parallel = true
 	runner.Parallelism = s.cfg.SweepParallelism
 	if s.cfg.Timeout > 0 {
 		runner.Timeout = s.cfg.Timeout

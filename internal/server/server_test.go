@@ -12,6 +12,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/vpir-sim/vpir/internal/technique"
 )
 
 // testServer builds a small server suitable for unit tests: few workers,
@@ -364,9 +366,9 @@ func TestSimOptionsConfig(t *testing.T) {
 		{SimOptions{}, "base"},
 		{SimOptions{Technique: "base"}, "base"},
 		{SimOptions{Technique: "ir"}, "IR"},
-		{SimOptions{Technique: "ir", LateValidation: true}, "IR late"},
+		{SimOptions{Technique: "ir", Knobs: technique.Knobs{LateValidation: true}}, "IR late"},
 		{SimOptions{Technique: "vp"}, "VP_Magic ME-SB vlat=0"},
-		{SimOptions{Technique: "vp", Scheme: "lvp", BranchResolution: "nsb", Reexec: "nme", VerifyLatency: 1}, "VP_LVP NME-NSB vlat=1"},
+		{SimOptions{Technique: "vp", Knobs: technique.Knobs{Scheme: "lvp", BranchResolution: "nsb", Reexec: "nme", VerifyLatency: 1}}, "VP_LVP NME-NSB vlat=1"},
 		{SimOptions{Technique: "hybrid"}, "IR+VP_Magic ME-SB vlat=0"},
 	} {
 		cfg, err := tc.o.Config()
@@ -380,9 +382,9 @@ func TestSimOptionsConfig(t *testing.T) {
 	}
 	for _, bad := range []SimOptions{
 		{Technique: "warp"},
-		{Technique: "vp", Scheme: "psychic"},
-		{Technique: "vp", BranchResolution: "maybe"},
-		{Technique: "vp", Reexec: "sometimes"},
+		{Technique: "vp", Knobs: technique.Knobs{Scheme: "psychic"}},
+		{Technique: "vp", Knobs: technique.Knobs{BranchResolution: "maybe"}},
+		{Technique: "vp", Knobs: technique.Knobs{Reexec: "sometimes"}},
 	} {
 		if _, err := bad.Config(); err == nil {
 			t.Errorf("%+v: want error", bad)
@@ -604,7 +606,7 @@ func TestRequestFieldsStrict(t *testing.T) {
 }
 
 func ExampleSimOptions() {
-	cfg, _ := SimOptions{Technique: "vp", Scheme: "lvp"}.Config()
+	cfg, _ := SimOptions{Technique: "vp", Knobs: technique.Knobs{Scheme: "lvp"}}.Config()
 	fmt.Println(cfg.Name())
 	// Output: VP_LVP ME-SB vlat=0
 }

@@ -12,6 +12,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"github.com/vpir-sim/vpir/internal/technique"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -39,7 +41,7 @@ func TestTraceEndpoint(t *testing.T) {
 	req := TraceRequest{
 		Bench:    "vortex",
 		MaxInsts: 20_000,
-		Options:  SimOptions{Technique: "hybrid", Scheme: "stride"},
+		Options:  SimOptions{Technique: "hybrid", Knobs: technique.Knobs{Scheme: "stride"}},
 		Window:   64,
 	}
 
@@ -181,7 +183,7 @@ func TestClampTrace(t *testing.T) {
 }
 
 func TestTraceKeyStable(t *testing.T) {
-	run := runKey("gcc", 1, 30_000, mustConfig(t, SimOptions{Technique: "vp", Scheme: "lvp"}), nil)
+	run := runKey("gcc", 1, 30_000, mustConfig(t, SimOptions{Technique: "vp", Knobs: technique.Knobs{Scheme: "lvp"}}), nil)
 	raw := TraceRequest{Window: 1 << 20}
 	clamped := TraceRequest{Window: MaxTraceWindow}
 	k1, k2 := traceKey(run, clampTrace(raw)), traceKey(run, clampTrace(clamped))
@@ -235,7 +237,7 @@ func TestTraceGolden(t *testing.T) {
 	req := TraceRequest{
 		Bench:    "vortex",
 		MaxInsts: 20_000,
-		Options:  SimOptions{Technique: "hybrid", Scheme: "stride"},
+		Options:  SimOptions{Technique: "hybrid", Knobs: technique.Knobs{Scheme: "stride"}},
 		Window:   64,
 	}
 	resp, body := postTrace(t, ts.URL, req)

@@ -164,137 +164,3 @@ func TestSparkline(t *testing.T) {
 		t.Errorf("NaN gap = %q", gap)
 	}
 }
-
-const benchText = `goos: linux
-goarch: amd64
-pkg: github.com/vpir-sim/vpir
-cpu: AMD EPYC
-BenchmarkSimBase-8   	      12	  95314958 ns/op	  5131289 B/op	   33916 allocs/op
-BenchmarkSimIR-8     	       9	 112233445 ns/op	 14400741 simcycles/s	  6100100 siminsts/s
-PASS
-ok  	github.com/vpir-sim/vpir	30.1s
-`
-
-func TestParseBench(t *testing.T) {
-	res, err := ParseBench(strings.NewReader(benchText))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 2 {
-		t.Fatalf("parsed %d results, want 2", len(res))
-	}
-	b := res[0]
-	if b.Name != "BenchmarkSimBase" || b.Runs != 12 || b.NsPerOp != 95314958 ||
-		b.BytesPerOp != 5131289 || b.AllocsPerOp != 33916 {
-		t.Errorf("first result wrong: %+v", b)
-	}
-	ir := res[1]
-	if ir.Name != "BenchmarkSimIR" || ir.Metrics["simcycles/s"] != 14400741 ||
-		ir.Metrics["siminsts/s"] != 6100100 {
-		t.Errorf("custom metrics wrong: %+v", ir)
-	}
-	if _, err := ParseBench(strings.NewReader("BenchmarkBroken-8 twelve 5 ns/op\n")); err == nil {
-		t.Error("malformed run count accepted")
-	}
-	if _, err := ParseBench(strings.NewReader("BenchmarkBroken-8 12 5\n")); err == nil {
-		t.Error("odd field count accepted")
-	}
-}
-
-func TestBenchJSONAndCompare(t *testing.T) {
-	res, err := ParseBench(strings.NewReader(benchText))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	if err := WriteBenchJSON(&sb, res); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if strings.Count(out, "\n") != 2 {
-		t.Errorf("JSONL line count wrong:\n%s", out)
-	}
-	for _, want := range []string{`"name":"BenchmarkSimBase"`, `"ns_per_op":95314958`, `"simcycles/s":14400741`} {
-		if !strings.Contains(out, want) {
-			t.Errorf("bench JSON missing %s:\n%s", want, out)
-		}
-	}
-	// A 10% slower re-run compares as +0.10.
-	newer := make([]BenchResult, len(res))
-	copy(newer, res)
-	newer[0].NsPerOp *= 1.10
-	d := CompareBench(res, newer)
-	if math.Abs(d["BenchmarkSimBase"]-0.10) > 1e-9 {
-		t.Errorf("slowdown = %v, want 0.10", d["BenchmarkSimBase"])
-	}
-	if d["BenchmarkSimIR"] != 0 {
-		t.Errorf("unchanged benchmark compares as %v", d["BenchmarkSimIR"])
-	}
-}
-
-func TestReadBenchJSONRoundTrip(t *testing.T) {
-	res, err := ParseBench(strings.NewReader(benchText))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	if err := WriteBenchJSON(&sb, res); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadBenchJSON(strings.NewReader(sb.String() + "\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != len(res) {
-		t.Fatalf("round trip lost results: %d != %d", len(back), len(res))
-	}
-	for i := range res {
-		if back[i].Name != res[i].Name || back[i].NsPerOp != res[i].NsPerOp ||
-			back[i].AllocsPerOp != res[i].AllocsPerOp ||
-			back[i].Metrics["simcycles/s"] != res[i].Metrics["simcycles/s"] {
-			t.Errorf("result %d changed in round trip:\n got %+v\nwant %+v", i, back[i], res[i])
-		}
-	}
-	if _, err := ReadBenchJSON(strings.NewReader("{not json\n")); err == nil {
-		t.Error("malformed JSONL accepted")
-	}
-	if _, err := ReadBenchJSON(strings.NewReader(`{"runs":3}` + "\n")); err == nil {
-		t.Error("nameless baseline line accepted")
-	}
-}
-
-func TestDiffBenchAndRegression(t *testing.T) {
-	old := []BenchResult{{
-		Name: "BenchmarkSimBase", Runs: 3, NsPerOp: 100, AllocsPerOp: 1000,
-		Metrics: map[string]float64{"simcycles/s": 2000},
-	}}
-	newer := []BenchResult{{
-		Name: "BenchmarkSimBase", Runs: 3, NsPerOp: 110, AllocsPerOp: 500,
-		Metrics: map[string]float64{"simcycles/s": 1600},
-	}, {
-		Name: "BenchmarkOnlyNew", Runs: 1, NsPerOp: 5,
-	}}
-	deltas := DiffBench(old, newer)
-	if len(deltas) != 3 {
-		t.Fatalf("got %d deltas, want 3 (ns/op, allocs/op, simcycles/s): %+v", len(deltas), deltas)
-	}
-	byUnit := map[string]BenchDelta{}
-	for _, d := range deltas {
-		if d.Name != "BenchmarkSimBase" {
-			t.Errorf("unpaired benchmark leaked into diff: %+v", d)
-		}
-		byUnit[d.Unit] = d
-	}
-	// ns/op rose 10%: that is the regression.
-	if d := byUnit["ns/op"]; math.Abs(d.Delta-0.10) > 1e-9 || math.Abs(d.Regression()-0.10) > 1e-9 {
-		t.Errorf("ns/op delta/regression = %v/%v, want 0.10/0.10", d.Delta, d.Regression())
-	}
-	// allocs/op halved: an improvement, regression 0.
-	if d := byUnit["allocs/op"]; d.Regression() != 0 {
-		t.Errorf("allocs/op improvement scored as regression %v", d.Regression())
-	}
-	// simcycles/s dropped 20%: throughput, so the *drop* is the regression.
-	if d := byUnit["simcycles/s"]; math.Abs(d.Regression()-0.20) > 1e-9 {
-		t.Errorf("simcycles/s regression = %v, want 0.20", d.Regression())
-	}
-}

@@ -38,19 +38,20 @@ import (
 // Knobs are the free parameters a caller may set alongside a technique
 // name. The zero value is every technique's default. Techniques reject
 // knobs they do not consume (a base machine with a "scheme" is a caller
-// error, not a machine).
+// error, not a machine). The public vpir.Options and the HTTP wire options
+// both embed this struct, so the JSON tags are the wire spelling.
 type Knobs struct {
 	// Scheme selects the VPT scheme for the value-predicting techniques:
 	// "magic" (default), "lvp", "stride", "2delta" or "fcm".
-	Scheme string
+	Scheme string `json:"scheme,omitempty"`
 	// BranchResolution is "sb" (default) or "nsb" (§4.1.4).
-	BranchResolution string
+	BranchResolution string `json:"branch_resolution,omitempty"`
 	// Reexec is "me" (default) or "nme" (§4.1.4).
-	Reexec string
+	Reexec string `json:"reexec,omitempty"`
 	// VerifyLatency is the VP-verification latency in cycles.
-	VerifyLatency int
+	VerifyLatency int `json:"verify_latency,omitempty"`
 	// LateValidation defers reuse benefits to execute (Figure 3 "late").
-	LateValidation bool
+	LateValidation bool `json:"late_validation,omitempty"`
 }
 
 // Technique is one registered machine variant.

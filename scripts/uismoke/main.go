@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"github.com/vpir-sim/vpir/internal/server"
+	"github.com/vpir-sim/vpir/internal/technique"
 )
 
 func main() {
@@ -128,7 +129,7 @@ func checkTrace(base string) error {
 	req := server.TraceRequest{
 		Bench:    "vortex",
 		MaxInsts: 20_000,
-		Options:  server.SimOptions{Technique: "hybrid", Scheme: "stride"},
+		Options:  server.SimOptions{Technique: "hybrid", Knobs: technique.Knobs{Scheme: "stride"}},
 		Window:   64,
 	}
 	reqBody, err := json.Marshal(req)

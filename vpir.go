@@ -77,25 +77,22 @@ func TechniqueDesc(name string) string {
 	return t.Desc
 }
 
+// Knobs are the technique's free parameters (§4.1.4 of the paper, plus
+// Figure 3's late validation): the VP Scheme ("magic" default, "lvp",
+// "stride", "2delta" or "fcm"), BranchResolution ("sb" default or "nsb"),
+// Reexec ("me" default or "nme"), VerifyLatency in cycles, and the IR
+// knob LateValidation. Knob validation is strict: setting a knob the
+// selected technique does not consume is an error, never silently ignored.
+// The HTTP wire options embed the same struct.
+type Knobs = technique.Knobs
+
 // Options configures a simulation. The zero value is the base machine.
 type Options struct {
 	Technique Technique
 
-	// VP knobs (§4.1.4 of the paper). Scheme is "magic" (default), "lvp",
-	// "stride", "2delta" or "fcm" (the computed extension schemes covering
-	// the paper's "derivable" class); BranchResolution is "sb" (default) or
-	// "nsb"; Reexec is "me" (default) or "nme"; VerifyLatency is the
-	// VP-verification latency. Knob validation is strict: setting a knob
-	// the selected technique does not consume is an error, never silently
-	// ignored.
-	Scheme           string
-	BranchResolution string
-	Reexec           string
-	VerifyLatency    int
-
-	// IR knob: LateValidation defers reuse benefits to the execute stage
-	// (the Figure 3 "late" experiment).
-	LateValidation bool
+	// Knobs is embedded, so opt.Scheme and friends read and assign as
+	// Options fields; a composite literal names it: Knobs: vpir.Knobs{…}.
+	Knobs
 
 	// MaxInsts caps the simulated dynamic instruction count (0 = run the
 	// program to completion).
@@ -157,13 +154,9 @@ type MetricsOptions struct {
 // so they cannot drift.
 func (o Options) config() (core.Config, error) {
 	return server.SimOptions{
-		Technique:        string(o.Technique),
-		Scheme:           o.Scheme,
-		BranchResolution: o.BranchResolution,
-		Reexec:           o.Reexec,
-		VerifyLatency:    o.VerifyLatency,
-		LateValidation:   o.LateValidation,
-		WatchdogCycles:   o.WatchdogCycles,
+		Technique:      string(o.Technique),
+		Knobs:          o.Knobs,
+		WatchdogCycles: o.WatchdogCycles,
 	}.Config()
 }
 
@@ -337,9 +330,11 @@ func BenchmarkInfos() []BenchmarkInfo {
 	return out
 }
 
-func runProgram(p *prog.Program, opt Options) (Result, error) {
+// runProgram simulates p in detail. A non-nil tr is attached to the
+// machine before the run, for TracePipeline.
+func runProgram(p *prog.Program, opt Options, tr *core.PipeTracer) (Result, error) {
 	if opt.Sample != nil {
-		return Result{}, fmt.Errorf("vpir: sampling requires a registered benchmark (use RunBenchmark)")
+		return Result{}, fmt.Errorf("vpir: Sample is only supported by RunBenchmark")
 	}
 	cfg, err := opt.config()
 	if err != nil {
@@ -348,6 +343,9 @@ func runProgram(p *prog.Program, opt Options) (Result, error) {
 	m, err := core.New(p, cfg, opt.MaxInsts)
 	if err != nil {
 		return Result{}, err
+	}
+	if tr != nil {
+		m.Trace(tr)
 	}
 	if opt.Metrics != nil {
 		m.AttachObserver(core.NewObserver(opt.Metrics.Interval, opt.Metrics.EventCap))
@@ -383,15 +381,23 @@ func RunBenchmark(name string, scale int, opt Options) (Result, error) {
 	if opt.Sample != nil {
 		return runBenchmarkSampled(name, scale, opt)
 	}
+	p, err := loadBenchmark(name, scale)
+	if err != nil {
+		return Result{}, err
+	}
+	return runProgram(p, opt, nil)
+}
+
+// loadBenchmark assembles a registered benchmark; scales below 1 run at 1.
+func loadBenchmark(name string, scale int) (*prog.Program, error) {
 	w, err := workload.Get(name)
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
-	p, err := w.Load(scale)
-	if err != nil {
-		return Result{}, err
+	if scale < 1 {
+		scale = 1
 	}
-	return runProgram(p, opt)
+	return w.Load(scale)
 }
 
 // runBenchmarkSampled is the checkpointed-sampling path: the harness fans
@@ -439,7 +445,7 @@ func RunSource(name, source string, opt Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return runProgram(p, opt)
+	return runProgram(p, opt, nil)
 }
 
 // Assemble checks a program without running it; it returns the number of
@@ -489,14 +495,7 @@ type Redundancy struct {
 
 // AnalyzeRedundancy runs the limit study on one benchmark.
 func AnalyzeRedundancy(name string, scale int, maxInsts uint64) (Redundancy, error) {
-	w, err := workload.Get(name)
-	if err != nil {
-		return Redundancy{}, err
-	}
-	if scale < 1 {
-		scale = 1
-	}
-	p, err := w.Load(scale)
+	p, err := loadBenchmark(name, scale)
 	if err != nil {
 		return Redundancy{}, err
 	}
@@ -563,30 +562,19 @@ func RunExperiment(id string, scale int, maxInsts uint64) (string, error) {
 // tracer attached and returns a rendered per-instruction diagram of the
 // first n instructions (fetch/decode/issue/complete/commit, with reuse and
 // squash markers). A quick way to see how IR collapses dependence chains at
-// decode and how VP overlaps dependent executions.
+// decode and how VP overlaps dependent executions. The run honours MaxInsts,
+// WatchdogCycles and Timeout like RunBenchmark; Sample and Metrics are
+// rejected, since a diagram needs one detailed run and returns no Result.
 func TracePipeline(bench string, scale int, opt Options, n int) (string, error) {
-	w, err := workload.Get(bench)
-	if err != nil {
-		return "", err
+	if opt.Metrics != nil {
+		return "", fmt.Errorf("vpir: Metrics instrumentation is not supported by TracePipeline")
 	}
-	if scale < 1 {
-		scale = 1
-	}
-	p, err := w.Load(scale)
-	if err != nil {
-		return "", err
-	}
-	cfg, err := opt.config()
-	if err != nil {
-		return "", err
-	}
-	m, err := core.New(p, cfg, opt.MaxInsts)
+	p, err := loadBenchmark(bench, scale)
 	if err != nil {
 		return "", err
 	}
 	tr := &core.PipeTracer{Max: n}
-	m.Trace(tr)
-	if err := m.Run(0); err != nil {
+	if _, err := runProgram(p, opt, tr); err != nil {
 		return "", err
 	}
 	var b strings.Builder

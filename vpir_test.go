@@ -3,6 +3,7 @@ package vpir
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestBenchmarks(t *testing.T) {
@@ -51,12 +52,9 @@ func TestRunBenchmarkBaseVsIR(t *testing.T) {
 
 func TestRunBenchmarkVPKnobs(t *testing.T) {
 	opt := Options{
-		Technique:        VP,
-		Scheme:           "lvp",
-		BranchResolution: "nsb",
-		Reexec:           "nme",
-		VerifyLatency:    1,
-		MaxInsts:         40_000,
+		Technique: VP,
+		Knobs:     Knobs{Scheme: "lvp", BranchResolution: "nsb", Reexec: "nme", VerifyLatency: 1},
+		MaxInsts:  40_000,
 	}
 	res, err := RunBenchmark("perl", 1, opt)
 	if err != nil {
@@ -73,9 +71,9 @@ func TestRunBenchmarkVPKnobs(t *testing.T) {
 func TestOptionsValidation(t *testing.T) {
 	bad := []Options{
 		{Technique: "warp"},
-		{Technique: VP, Scheme: "psychic"},
-		{Technique: VP, BranchResolution: "maybe"},
-		{Technique: VP, Reexec: "sometimes"},
+		{Technique: VP, Knobs: Knobs{Scheme: "psychic"}},
+		{Technique: VP, Knobs: Knobs{BranchResolution: "maybe"}},
+		{Technique: VP, Knobs: Knobs{Reexec: "sometimes"}},
 	}
 	for _, o := range bad {
 		if _, err := RunBenchmark("go", 1, o); err == nil {
@@ -205,7 +203,7 @@ func TestHybridTechnique(t *testing.T) {
 }
 
 func TestStrideScheme(t *testing.T) {
-	res, err := RunBenchmark("ijpeg", 1, Options{Technique: VP, Scheme: "stride", MaxInsts: 60_000})
+	res, err := RunBenchmark("ijpeg", 1, Options{Technique: VP, Knobs: Knobs{Scheme: "stride"}, MaxInsts: 60_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,6 +230,18 @@ func TestTracePipeline(t *testing.T) {
 	}
 	if _, err := TracePipeline("compress", 1, Options{Technique: "bogus"}, 5); err == nil {
 		t.Error("bad options accepted")
+	}
+	// The traced run goes through the same path as RunBenchmark: a timeout
+	// is honoured, and options a diagram cannot carry are rejected rather
+	// than silently dropped.
+	for name, opt := range map[string]Options{
+		"timed out": {Timeout: time.Nanosecond},
+		"Sample":    {Sample: &SampleOptions{Interval: 1_000, Every: 10}},
+		"Metrics":   {Metrics: &MetricsOptions{}},
+	} {
+		if _, err := TracePipeline("compress", 1, opt, 5); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("%s: err = %v", name, err)
+		}
 	}
 }
 
