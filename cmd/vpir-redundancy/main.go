@@ -38,15 +38,10 @@ func main() {
 			fmt.Fprintf(os.Stderr, "vpir-redundancy: %s: %v\n", name, err)
 			os.Exit(1)
 		}
-		rep := float64(r.Repeated)
-		if rep == 0 {
-			rep = 1
-		}
+		p := r.Percents()
 		fmt.Printf("%-10s %9d | %6.1f %6.1f %6.1f %6.1f | %7.1f %7.1f %7.1f | %6.1f %6.1f\n",
-			name, r.Total,
-			r.Pct(r.Unique), r.Pct(r.Repeated), r.Pct(r.Derivable), r.Pct(r.Unaccounted),
-			100*float64(r.ProducersReused)/rep, 100*float64(r.ProdFar)/rep, 100*float64(r.ProdNear)/rep,
-			r.Pct(r.Redundant()), r.ReusablePct())
+			name, p.Total, p.UniquePct, p.RepeatedPct, p.DerivedPct, p.UnaccPct,
+			p.ProducersReusedPct, p.ProdFarPct, p.ProdNearPct, p.RedundantPct, p.ReusableOfRedundant)
 	}
 
 	if *file != "" {

@@ -39,61 +39,18 @@ func goldenConfigs() []goldenConfig {
 }
 
 // goldenRecord pins every paper-relevant number of one (benchmark,
-// configuration) cell. The simulator is deterministic, so the comparison
-// is exact — floats included; encoding/json round-trips float64 exactly.
+// configuration) cell: the whole Report, the struct the library and the
+// wire publish. The simulator is deterministic, so the comparison is exact
+// — floats included; encoding/json round-trips float64 exactly.
 type goldenRecord struct {
 	Bench  string `json:"bench"`
 	Config string `json:"config"`
-
-	Cycles    uint64  `json:"cycles"`
-	Committed uint64  `json:"committed"`
-	Executed  uint64  `json:"executed"`
-	IPC       float64 `json:"ipc"`
-
-	BranchPredRate float64 `json:"branch_pred_rate"`
-	ReturnPredRate float64 `json:"return_pred_rate"`
-
-	Squashes         uint64 `json:"squashes"`
-	SpuriousSquashes uint64 `json:"spurious_squashes"`
-
-	ReuseResultRate float64 `json:"reuse_result_rate"`
-	ReuseAddrRate   float64 `json:"reuse_addr_rate"`
-	ExecSquashedPct float64 `json:"exec_squashed_pct"`
-	RecoveredPct    float64 `json:"recovered_pct"`
-
-	VPResultPred    float64 `json:"vp_result_pred"`
-	VPResultMispred float64 `json:"vp_result_mispred"`
-	VPAddrPred      float64 `json:"vp_addr_pred"`
-	VPAddrMispred   float64 `json:"vp_addr_mispred"`
-
-	Contention float64 `json:"contention"`
-
+	Report
 	ExitCode int `json:"exit_code"`
 }
 
 func goldenFrom(bench, label string, r Result) goldenRecord {
-	return goldenRecord{
-		Bench:            bench,
-		Config:           label,
-		Cycles:           r.Cycles,
-		Committed:        r.Committed,
-		Executed:         r.Executed,
-		IPC:              r.IPC,
-		BranchPredRate:   r.BranchPredRate,
-		ReturnPredRate:   r.ReturnPredRate,
-		Squashes:         r.Squashes,
-		SpuriousSquashes: r.SpuriousSquashes,
-		ReuseResultRate:  r.ReuseResultRate,
-		ReuseAddrRate:    r.ReuseAddrRate,
-		ExecSquashedPct:  r.ExecSquashedPct,
-		RecoveredPct:     r.RecoveredPct,
-		VPResultPred:     r.VPResultPred,
-		VPResultMispred:  r.VPResultMispred,
-		VPAddrPred:       r.VPAddrPred,
-		VPAddrMispred:    r.VPAddrMispred,
-		Contention:       r.Contention,
-		ExitCode:         r.ExitCode,
-	}
+	return goldenRecord{Bench: bench, Config: label, Report: r.Report, ExitCode: r.ExitCode}
 }
 
 func goldenPath(bench, label string) string {

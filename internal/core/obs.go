@@ -1,12 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"reflect"
-	"strings"
-
-	"github.com/vpir-sim/vpir/internal/obs"
-)
+import "github.com/vpir-sim/vpir/internal/obs"
 
 // Observer binds the observability layer to one Machine: a registry of
 // counters/gauges/histograms updated inline by the pipeline, a bounded
@@ -238,82 +232,4 @@ func (m *Machine) flushObs() {
 	for i, n := range names {
 		o.reg.Gauge("stats." + n).Set(vals[i])
 	}
-}
-
-// --- reflective Stats flattening ---
-//
-// The sampler's contract is that the final sample of a run carries
-// exactly the run's cumulative core.Stats. Deriving the schema by
-// reflection means a counter added to Stats can never silently go
-// missing from the exported series.
-
-var statsFieldNames = buildStatsFieldNames()
-
-func buildStatsFieldNames() []string {
-	t := reflect.TypeOf(Stats{})
-	var names []string
-	for i := 0; i < t.NumField(); i++ {
-		f := t.Field(i)
-		switch f.Type.Kind() {
-		case reflect.Uint64:
-			names = append(names, snakeCase(f.Name))
-		case reflect.Array:
-			for j := 0; j < f.Type.Len(); j++ {
-				names = append(names, fmt.Sprintf("%s_%d", snakeCase(f.Name), j+1))
-			}
-		default:
-			panic("core: unsupported Stats field type " + f.Type.String())
-		}
-	}
-	return names
-}
-
-// StatsFieldNames returns the snake_cased names of every Stats counter,
-// in declaration order (array fields expand to one name per element,
-// 1-indexed: exec_times_1..exec_times_4).
-func StatsFieldNames() []string {
-	return append([]string(nil), statsFieldNames...)
-}
-
-// StatsValues flattens s into one float64 per StatsFieldNames entry.
-func StatsValues(s Stats) []float64 {
-	v := reflect.ValueOf(s)
-	out := make([]float64, 0, len(statsFieldNames))
-	for i := 0; i < v.NumField(); i++ {
-		f := v.Field(i)
-		switch f.Kind() {
-		case reflect.Uint64:
-			out = append(out, float64(f.Uint()))
-		case reflect.Array:
-			for j := 0; j < f.Len(); j++ {
-				out = append(out, float64(f.Index(j).Uint()))
-			}
-		}
-	}
-	return out
-}
-
-// snakeCase converts a Go field name like "VPResultPredicted" or
-// "ICacheMisses" to "vp_result_predicted" / "i_cache_misses": an
-// underscore goes before each upper-case letter that starts a new word
-// (follows a lower-case letter, or is followed by one within an acronym).
-func snakeCase(name string) string {
-	var b strings.Builder
-	for i, r := range name {
-		lower := r | 0x20
-		isUpper := r >= 'A' && r <= 'Z'
-		if isUpper && i > 0 {
-			prevLower := name[i-1] >= 'a' && name[i-1] <= 'z'
-			nextLower := i+1 < len(name) && name[i+1] >= 'a' && name[i+1] <= 'z'
-			if prevLower || nextLower {
-				b.WriteByte('_')
-			}
-		}
-		if isUpper {
-			b.WriteRune(lower)
-		} else {
-			b.WriteRune(r)
-		}
-	}
-	return b.String()
 }

@@ -163,3 +163,63 @@ func (s Stats) ExecTimesPct() [3]float64 {
 	out[2] = 100 * float64(s.ExecTimes[2]+s.ExecTimes[3]) / c
 	return out
 }
+
+// Report is the derived view of one run's Stats that every result surface
+// publishes: the library's vpir.Result, the HTTP API's "stats" object and
+// the golden corpus all embed it, so a metric defined here reaches each of
+// them. The JSON tags are the wire names, in wire order.
+type Report struct {
+	Cycles    uint64  `json:"cycles"`
+	Committed uint64  `json:"committed"`
+	Executed  uint64  `json:"executed"`
+	IPC       float64 `json:"ipc"`
+
+	BranchPredRate float64 `json:"branch_pred_rate"` // %
+	ReturnPredRate float64 `json:"return_pred_rate"` // %
+
+	Squashes         uint64 `json:"squashes"`
+	SpuriousSquashes uint64 `json:"spurious_squashes"`
+
+	// IR metrics (% of committed instructions / memory ops).
+	ReuseResultRate float64 `json:"reuse_result_rate"`
+	ReuseAddrRate   float64 `json:"reuse_addr_rate"`
+	ExecSquashedPct float64 `json:"exec_squashed_pct"`
+	RecoveredPct    float64 `json:"recovered_pct"`
+
+	// VP metrics (% of committed instructions / memory ops).
+	VPResultPred    float64    `json:"vp_result_pred"`
+	VPResultMispred float64    `json:"vp_result_mispred"`
+	VPAddrPred      float64    `json:"vp_addr_pred"`
+	VPAddrMispred   float64    `json:"vp_addr_mispred"`
+	ExecTimesPct    [3]float64 `json:"exec_times_pct"` // Table 6: executed once / twice / 3+
+
+	Contention               float64 `json:"contention"`
+	MeanBranchResolveLatency float64 `json:"mean_branch_resolve_latency"` // cycles
+}
+
+// Report derives the published metrics from the counters.
+func (s Stats) Report() Report {
+	rp, rm := s.VPResultRates()
+	ap, am := s.VPAddrRates()
+	return Report{
+		Cycles:                   s.Cycles,
+		Committed:                s.Committed,
+		Executed:                 s.Executed,
+		IPC:                      s.IPC(),
+		BranchPredRate:           s.BranchPredRate(),
+		ReturnPredRate:           s.ReturnPredRate(),
+		Squashes:                 s.Squashes,
+		SpuriousSquashes:         s.SpuriousSquashes,
+		ReuseResultRate:          s.ReuseResultRate(),
+		ReuseAddrRate:            s.ReuseAddrRate(),
+		ExecSquashedPct:          s.ExecSquashedPct(),
+		RecoveredPct:             s.RecoveredPct(),
+		VPResultPred:             rp,
+		VPResultMispred:          rm,
+		VPAddrPred:               ap,
+		VPAddrMispred:            am,
+		ExecTimesPct:             s.ExecTimesPct(),
+		Contention:               s.Contention(),
+		MeanBranchResolveLatency: s.MeanBrResolveLat(),
+	}
+}

@@ -356,8 +356,8 @@ func fig8(r *Runner) ([]*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(b, stats.F(res.Pct(res.Unique)), stats.F(res.Pct(res.Repeated)),
-			stats.F(res.Pct(res.Derivable)), stats.F(res.Pct(res.Unaccounted)))
+		p := res.Percents()
+		t.AddRow(b, stats.F(p.UniquePct), stats.F(p.RepeatedPct), stats.F(p.DerivedPct), stats.F(p.UnaccPct))
 	}
 	t.Note("10K buffered instances per static instruction, as in the paper")
 	return []*stats.Table{t}, nil
@@ -371,14 +371,8 @@ func fig9(r *Runner) ([]*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		rep := float64(res.Repeated)
-		if rep == 0 {
-			rep = 1
-		}
-		t.AddRow(b,
-			stats.F(100*float64(res.ProducersReused)/rep),
-			stats.F(100*float64(res.ProdFar)/rep),
-			stats.F(100*float64(res.ProdNear)/rep))
+		p := res.Percents()
+		t.AddRow(b, stats.F(p.ProducersReusedPct), stats.F(p.ProdFarPct), stats.F(p.ProdNearPct))
 	}
 	return []*stats.Table{t}, nil
 }
@@ -391,8 +385,8 @@ func fig10(r *Runner) ([]*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(b, stats.F(res.Pct(res.Redundant())), stats.F(res.Pct(res.Reusable)),
-			stats.F(res.ReusablePct()))
+		p := res.Percents()
+		t.AddRow(b, stats.F(p.RedundantPct), stats.F(p.ReusablePct), stats.F(p.ReusableOfRedundant))
 	}
 	t.Note("paper reports 84-97%% of redundancy reusable")
 	return []*stats.Table{t}, nil

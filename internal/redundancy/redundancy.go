@@ -68,21 +68,50 @@ type Result struct {
 // Redundant returns repeated + derivable (the paper's definition).
 func (r *Result) Redundant() uint64 { return r.Repeated + r.Derivable }
 
-// Pct is a percentage helper over the result-producing instruction count.
-func (r *Result) Pct(n uint64) float64 {
-	if r.Total == 0 {
+// pct returns n as a percent of d (0 when d is 0).
+func pct(n, d uint64) float64 {
+	if d == 0 {
 		return 0
 	}
-	return 100 * float64(n) / float64(r.Total)
+	return 100 * float64(n) / float64(d)
 }
 
-// ReusablePct returns reusable instructions as a percent of redundant ones
-// (the Figure 10 metric).
-func (r *Result) ReusablePct() float64 {
-	if r.Redundant() == 0 {
-		return 0
+// Percents is the limit study in the paper's units: the Figure 8
+// classification and the Figure 10 redundancy as percents of all
+// result-producing instructions, the Figure 9 readiness split as percents
+// of the repeated ones.
+type Percents struct {
+	Total       uint64
+	UniquePct   float64
+	RepeatedPct float64
+	DerivedPct  float64
+	UnaccPct    float64
+
+	ProducersReusedPct float64 // of repeated
+	ProdFarPct         float64
+	ProdNearPct        float64
+
+	RedundantPct float64
+	ReusablePct  float64 // of all instructions
+	// ReusableOfRedundant is the Figure 10 headline (84-97% in the paper).
+	ReusableOfRedundant float64
+}
+
+// Percents converts the counts into the figures' percentages.
+func (r *Result) Percents() Percents {
+	return Percents{
+		Total:               r.Total,
+		UniquePct:           pct(r.Unique, r.Total),
+		RepeatedPct:         pct(r.Repeated, r.Total),
+		DerivedPct:          pct(r.Derivable, r.Total),
+		UnaccPct:            pct(r.Unaccounted, r.Total),
+		ProducersReusedPct:  pct(r.ProducersReused, r.Repeated),
+		ProdFarPct:          pct(r.ProdFar, r.Repeated),
+		ProdNearPct:         pct(r.ProdNear, r.Repeated),
+		RedundantPct:        pct(r.Redundant(), r.Total),
+		ReusablePct:         pct(r.Reusable, r.Total),
+		ReusableOfRedundant: pct(r.Reusable, r.Redundant()),
 	}
-	return 100 * float64(r.Reusable) / float64(r.Redundant())
 }
 
 // opSig is an operand-value signature of one execution instance.

@@ -40,7 +40,7 @@ loop:   li   $t0, 6         # same results every iteration
 	if r.Total == 0 {
 		t.Fatal("no instructions classified")
 	}
-	if got := r.Pct(r.Repeated); got < 75 {
+	if got := r.Percents().RepeatedPct; got < 75 {
 		t.Errorf("repeated%% = %.1f, want > 75 for a constant loop", got)
 	}
 	if r.Unaccounted != 0 {
@@ -219,11 +219,10 @@ func TestPaperShape(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		red := r.Pct(r.Redundant())
-		reusable := r.ReusablePct()
+		pc := r.Percents()
+		red, reusable := pc.RedundantPct, pc.ReusableOfRedundant
 		t.Logf("%-9s total=%8d redundant=%5.1f%% (rep %.1f der %.1f uniq %.1f unacc %.1f) reusable=%5.1f%%",
-			name, r.Total, red, r.Pct(r.Repeated), r.Pct(r.Derivable),
-			r.Pct(r.Unique), r.Pct(r.Unaccounted), reusable)
+			name, r.Total, red, pc.RepeatedPct, pc.DerivedPct, pc.UniquePct, pc.UnaccPct, reusable)
 		if red < 30 {
 			t.Errorf("%s: redundancy %.1f%% implausibly low", name, red)
 		}

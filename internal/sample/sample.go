@@ -136,11 +136,28 @@ type IntervalResult struct {
 
 // MetricCI is a per-metric confidence interval over the sampled intervals.
 type MetricCI struct {
-	Name string
-	Mean float64
+	// Name is the metric's JSON name in core.Report.
+	Name string  `json:"name"`
+	Mean float64 `json:"mean"`
 	// Half is the half-width of the two-sided 95% confidence interval
 	// (Student t over the per-interval metric values); 0 with one interval.
-	Half float64
+	Half float64 `json:"half"`
+}
+
+// Extent is how a sampled run covered the program and how tightly the
+// intervals pin its derived metrics. vpir.SampleSummary and the HTTP API's
+// "sample" object are this struct; its JSON tags are the wire names.
+type Extent struct {
+	Intervals    int     `json:"intervals"`
+	TotalInsts   uint64  `json:"total_insts"`
+	SampledInsts uint64  `json:"sampled_insts"`
+	Coverage     float64 `json:"coverage"` // SampledInsts / TotalInsts
+	// Exact reports that the summary's Stats is an exact aggregate (every
+	// committed instruction was measured), in which case a single-interval
+	// plan is bit-identical to a non-sampled run.
+	Exact bool `json:"exact"`
+	// CIs are 95% confidence intervals of the ciMetrics across intervals.
+	CIs []MetricCI `json:"cis,omitempty"`
 }
 
 // Summary is the stitched whole-program estimate.
@@ -149,15 +166,7 @@ type Summary struct {
 	// Stats is the whole-program estimate: exact sums when coverage is
 	// complete, ratio-scaled by committed instructions otherwise.
 	Stats core.Stats
-	// Exact reports that Stats is an exact aggregate (every committed
-	// instruction was measured), in which case a single-interval plan is
-	// bit-identical to a non-sampled run.
-	Exact        bool
-	Intervals    int
-	TotalInsts   uint64
-	SampledInsts uint64
-	Coverage     float64 // SampledInsts / TotalInsts
-	CIs          []MetricCI
+	Extent
 
 	// Output and ExitCode are the program's architectural results; Output is
 	// only available ("" otherwise) when the plan measures the program

@@ -3,7 +3,10 @@ package sample
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/vpir-sim/vpir/internal/core"
@@ -264,21 +267,23 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStatsMinus pins the counter-subtraction helper the warmup accounting
-// rests on.
-func TestStatsMinus(t *testing.T) {
-	a := core.Stats{Cycles: 10, Committed: 7, ExecTimes: [4]uint64{4, 3, 2, 1}}
-	b := core.Stats{Cycles: 4, Committed: 2, ExecTimes: [4]uint64{1, 1, 1, 1}}
-	d := a.Minus(b)
-	if d.Cycles != 6 || d.Committed != 5 || d.ExecTimes != [4]uint64{3, 2, 1, 0} {
-		t.Fatalf("Minus = %+v", d)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative counter delta must panic")
+// TestCIMetricsNameReportFields requires every confidence-interval name to
+// be the JSON tag of a float64 field of core.Report, and its accessor to
+// read that field: decoding 0.5 under the name fails for an unknown tag and
+// for a field of any other type.
+func TestCIMetricsNameReportFields(t *testing.T) {
+	for _, met := range ciMetrics {
+		dec := json.NewDecoder(strings.NewReader(fmt.Sprintf(`{%q: 0.5}`, met.name)))
+		dec.DisallowUnknownFields()
+		var r core.Report
+		if err := dec.Decode(&r); err != nil {
+			t.Errorf("CI %q is not a float64 field of core.Report: %v", met.name, err)
+			continue
 		}
-	}()
-	_ = b.Minus(a)
+		if got := met.f(r); got != 0.5 {
+			t.Errorf("CI %q reads %v, not the Report field it names", met.name, got)
+		}
+	}
 }
 
 // TestPlanValidate covers plan normalization and rejection.

@@ -3,8 +3,6 @@ package sample
 import (
 	"context"
 	"fmt"
-	"math"
-	"reflect"
 
 	"github.com/vpir-sim/vpir/internal/core"
 	"github.com/vpir-sim/vpir/internal/stats"
@@ -49,28 +47,16 @@ func DriveInterval(ctx context.Context, m *core.Machine, ck *Checkpoint, warm ui
 	return iv, nil
 }
 
-// intervalMetrics are the per-interval derived metrics that get confidence
-// intervals in the stitched summary.
-var intervalMetrics = []struct {
+// ciMetrics are the core.Report metrics, named by their JSON tags, that get
+// confidence intervals in the stitched summary.
+var ciMetrics = []struct {
 	name string
-	f    func(core.Stats) float64
+	f    func(core.Report) float64
 }{
-	{"ipc", core.Stats.IPC},
-	{"branch_pred_rate", core.Stats.BranchPredRate},
-	{"icache_miss_rate", func(s core.Stats) float64 {
-		if s.ICacheAccesses == 0 {
-			return 0
-		}
-		return 100 * float64(s.ICacheMisses) / float64(s.ICacheAccesses)
-	}},
-	{"dcache_miss_rate", func(s core.Stats) float64 {
-		if s.DCacheAccesses == 0 {
-			return 0
-		}
-		return 100 * float64(s.DCacheMisses) / float64(s.DCacheAccesses)
-	}},
-	{"reuse_result_rate", core.Stats.ReuseResultRate},
-	{"vp_result_pred", func(s core.Stats) float64 { p, _ := s.VPResultRates(); return p }},
+	{"ipc", func(r core.Report) float64 { return r.IPC }},
+	{"branch_pred_rate", func(r core.Report) float64 { return r.BranchPredRate }},
+	{"reuse_result_rate", func(r core.Report) float64 { return r.ReuseResultRate }},
+	{"vp_result_pred", func(r core.Report) float64 { return r.VPResultPred }},
 }
 
 // Stitch combines the per-interval measurements into a whole-program
@@ -88,11 +74,7 @@ func Stitch(ff *FFResult, ivs []IntervalResult) (*Summary, error) {
 		return nil, fmt.Errorf("sample: stitch got %d interval results, plan has %d", len(ivs), len(ff.Checkpoints))
 	}
 	plan := ff.Plan.Normalize()
-	sum := &Summary{
-		Plan:       plan,
-		Intervals:  len(ivs),
-		TotalInsts: ff.TotalInsts,
-	}
+	sum := &Summary{Plan: plan, Extent: Extent{Intervals: len(ivs), TotalInsts: ff.TotalInsts}}
 	var agg core.Stats
 	for i := range ivs {
 		iv := &ivs[i]
@@ -115,7 +97,7 @@ func Stitch(ff *FFResult, ivs []IntervalResult) (*Summary, error) {
 		if iv.Warm < warm && !iv.Halted {
 			return nil, fmt.Errorf("sample: interval %d warmup stopped at %d of %d instructions", i, iv.Warm, warm)
 		}
-		agg = addStats(agg, iv.Stats)
+		agg = agg.Plus(iv.Stats)
 		sum.SampledInsts += iv.Insts
 	}
 	if sum.SampledInsts == 0 {
@@ -128,13 +110,13 @@ func Stitch(ff *FFResult, ivs []IntervalResult) (*Summary, error) {
 		sum.Stats = agg
 		sum.Exact = true
 	} else {
-		sum.Stats = scaleStats(agg, float64(ff.TotalInsts)/float64(sum.SampledInsts))
+		sum.Stats = agg.Scale(float64(ff.TotalInsts) / float64(sum.SampledInsts))
 	}
 
-	for _, met := range intervalMetrics {
+	for _, met := range ciMetrics {
 		xs := make([]float64, len(ivs))
 		for i := range ivs {
-			xs[i] = met.f(ivs[i].Stats)
+			xs[i] = met.f(ivs[i].Stats.Report())
 		}
 		mean, half := stats.MeanCI(xs)
 		sum.CIs = append(sum.CIs, MetricCI{Name: met.name, Mean: mean, Half: half})
@@ -153,51 +135,4 @@ func Stitch(ff *FFResult, ivs []IntervalResult) (*Summary, error) {
 		sum.Output = out
 	}
 	return sum, nil
-}
-
-// addStats is counter-wise addition, reflective for the same reason
-// Stats.Minus is: new counters must never silently drop out of stitching.
-func addStats(a, b core.Stats) core.Stats {
-	av := reflect.ValueOf(&a).Elem()
-	bv := reflect.ValueOf(&b).Elem()
-	for i := 0; i < av.NumField(); i++ {
-		addCounter(av.Field(i), bv.Field(i))
-	}
-	return a
-}
-
-func addCounter(a, b reflect.Value) {
-	switch a.Kind() {
-	case reflect.Uint64:
-		a.SetUint(a.Uint() + b.Uint())
-	case reflect.Array:
-		for j := 0; j < a.Len(); j++ {
-			addCounter(a.Index(j), b.Index(j))
-		}
-	default:
-		panic("sample: non-counter field in core.Stats; teach addStats about it")
-	}
-}
-
-// scaleStats multiplies every counter by the ratio estimator's factor,
-// rounding to nearest; factor 1 is the identity by construction.
-func scaleStats(s core.Stats, factor float64) core.Stats {
-	sv := reflect.ValueOf(&s).Elem()
-	for i := 0; i < sv.NumField(); i++ {
-		scaleCounter(sv.Field(i), factor)
-	}
-	return s
-}
-
-func scaleCounter(v reflect.Value, factor float64) {
-	switch v.Kind() {
-	case reflect.Uint64:
-		v.SetUint(uint64(math.Round(float64(v.Uint()) * factor)))
-	case reflect.Array:
-		for j := 0; j < v.Len(); j++ {
-			scaleCounter(v.Index(j), factor)
-		}
-	default:
-		panic("sample: non-counter field in core.Stats; teach scaleStats about it")
-	}
 }

@@ -69,64 +69,17 @@ type SweepRequest struct {
 	Sample *SampleBlock `json:"sample,omitempty"`
 }
 
-// SimStats is the wire form of one simulation's results: the raw counters
-// that matter plus the derived paper metrics, mirroring the library's
-// Result.
+// SimStats is the wire form of one simulation's results: the
+// configuration's canonical name plus the derived report the library's
+// Result embeds too.
 type SimStats struct {
 	Config string `json:"config"`
-
-	Cycles    uint64  `json:"cycles"`
-	Committed uint64  `json:"committed"`
-	Executed  uint64  `json:"executed"`
-	IPC       float64 `json:"ipc"`
-
-	BranchPredRate float64 `json:"branch_pred_rate"`
-	ReturnPredRate float64 `json:"return_pred_rate"`
-
-	Squashes         uint64 `json:"squashes"`
-	SpuriousSquashes uint64 `json:"spurious_squashes"`
-
-	ReuseResultRate float64 `json:"reuse_result_rate"`
-	ReuseAddrRate   float64 `json:"reuse_addr_rate"`
-	ExecSquashedPct float64 `json:"exec_squashed_pct"`
-	RecoveredPct    float64 `json:"recovered_pct"`
-
-	VPResultPred    float64    `json:"vp_result_pred"`
-	VPResultMispred float64    `json:"vp_result_mispred"`
-	VPAddrPred      float64    `json:"vp_addr_pred"`
-	VPAddrMispred   float64    `json:"vp_addr_mispred"`
-	ExecTimesPct    [3]float64 `json:"exec_times_pct"`
-
-	Contention               float64 `json:"contention"`
-	MeanBranchResolveLatency float64 `json:"mean_branch_resolve_latency"`
+	core.Report
 }
 
 // statsFrom renders one simulation's counters in wire form.
 func statsFrom(cfg core.Config, s core.Stats) SimStats {
-	rp, rm := s.VPResultRates()
-	ap, am := s.VPAddrRates()
-	return SimStats{
-		Config:                   cfg.Name(),
-		Cycles:                   s.Cycles,
-		Committed:                s.Committed,
-		Executed:                 s.Executed,
-		IPC:                      s.IPC(),
-		BranchPredRate:           s.BranchPredRate(),
-		ReturnPredRate:           s.ReturnPredRate(),
-		Squashes:                 s.Squashes,
-		SpuriousSquashes:         s.SpuriousSquashes,
-		ReuseResultRate:          s.ReuseResultRate(),
-		ReuseAddrRate:            s.ReuseAddrRate(),
-		ExecSquashedPct:          s.ExecSquashedPct(),
-		RecoveredPct:             s.RecoveredPct(),
-		VPResultPred:             rp,
-		VPResultMispred:          rm,
-		VPAddrPred:               ap,
-		VPAddrMispred:            am,
-		ExecTimesPct:             s.ExecTimesPct(),
-		Contention:               s.Contention(),
-		MeanBranchResolveLatency: s.MeanBrResolveLat(),
-	}
+	return SimStats{Config: cfg.Name(), Report: s.Report()}
 }
 
 // RunResponse is the body of a successful POST /v1/run: the simulation

@@ -34,37 +34,5 @@ func (b *SampleBlock) Validate() error {
 	return b.Plan().Validate()
 }
 
-// SampleCI is one metric's 95% confidence interval across the sampled
-// intervals.
-type SampleCI struct {
-	Name string  `json:"name"`
-	Mean float64 `json:"mean"`
-	Half float64 `json:"half"`
-}
-
 // SampleResult is the wire form of a stitched sampling summary.
-type SampleResult struct {
-	Intervals    int        `json:"intervals"`
-	TotalInsts   uint64     `json:"total_insts"`
-	SampledInsts uint64     `json:"sampled_insts"`
-	Coverage     float64    `json:"coverage"`
-	Exact        bool       `json:"exact"`
-	CIs          []SampleCI `json:"cis,omitempty"`
-}
-
-func sampleResultFrom(sum *sample.Summary) *SampleResult {
-	if sum == nil {
-		return nil
-	}
-	out := &SampleResult{
-		Intervals:    sum.Intervals,
-		TotalInsts:   sum.TotalInsts,
-		SampledInsts: sum.SampledInsts,
-		Coverage:     sum.Coverage,
-		Exact:        sum.Exact,
-	}
-	for _, ci := range sum.CIs {
-		out.CIs = append(out.CIs, SampleCI{Name: ci.Name, Mean: ci.Mean, Half: ci.Half})
-	}
-	return out
-}
+type SampleResult = sample.Extent

@@ -386,7 +386,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			}
 			resp.Stats = statsFrom(cfg, sum.Stats)
 			resp.Output, resp.ExitCode = sum.Output, sum.ExitCode
-			resp.Sample = sampleResultFrom(sum)
+			resp.Sample = &sum.Extent
 			return resp, nil
 		}
 		res := s.pool.run(ctx, req.Bench, scale, maxInsts, cfg)
@@ -536,7 +536,7 @@ stream:
 						// Sampled cells additionally carry the stitched summary
 						// and the retry audit. Plain cells keep their
 						// pre-sampling line shape byte for byte.
-						line.Sample = sampleResultFrom(res.Summary)
+						line.Sample = &res.Summary.Extent
 						line.Attempts = res.Attempts
 					}
 				}

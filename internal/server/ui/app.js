@@ -371,12 +371,13 @@ function renderSparklines(resp) {
     const a = rows[i - 1], b = rows[i];
     const dCyc = b[iCycle] - a[iCycle];
     const dCom = b[iCommitted] - a[iCommitted];
-    const dPred = b[iPred] - a[iPred];
+    const dMisp = (b[iPred] - a[iPred]) - (b[iCorrect] - a[iCorrect]);
     deltas.push({
       cycle: b[iCycle],
       ipc: dCyc > 0 ? dCom / dCyc : 0,
       reuse: dCom > 0 ? 100 * (b[iReuse] - a[iReuse]) / dCom : 0,
-      vpmisp: dPred > 0 ? 100 * (dPred - (b[iCorrect] - a[iCorrect])) / dPred : 0,
+      // Per committed instruction, as the tile's vp_result_mispred.
+      vpmisp: dCom > 0 ? 100 * dMisp / dCom : 0,
       squash: dCyc > 0 ? 1000 * (b[iSquash] - a[iSquash]) / dCyc : 0,
     });
   }

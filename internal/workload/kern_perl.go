@@ -12,7 +12,13 @@ func init() {
 		Name: "perl",
 		Desc: "word hashing + scrabble scoring over generated text",
 		Source: func(scale int) string {
-			return fmt.Sprintf(perlAsm, 6144*scale)
+			slots, shift := perlSet(scale)
+			setup, mask := "", "andi  $t5, $t5, 4095"
+			if slots > 4096 {
+				// andi takes a 16-bit immediate, so a wider mask lives in $t8.
+				setup, mask = fmt.Sprintf("\n        li    $t8, %d", slots-1), "and   $t5, $t5, $t8"
+			}
+			return fmt.Sprintf(perlAsm, 6144*scale, 4*slots, slots, setup, shift, mask)
 		},
 		Golden: goldenPerl,
 	})
@@ -20,14 +26,14 @@ func init() {
 
 const perlAsm = `
 # perl: tokenize words, hash each, score letters, dedupe via a hash set.
-TEXTN = %d
+TEXTN = %[1]d
         .data
 text:   .space TEXTN
-hset:   .space 16384          # 4096 entries x 4 bytes (stored hash, 0 empty)
+hset:   .space %[2]d          # %[3]d entries x 4 bytes (stored hash, 0 empty)
 lval:   .byte 1,3,3,2,1,4,2,4,1,8,5,1,3,1,1,3,10,1,1,1,1,4,4,8,4,10
         .align 2
         .text
-main:   li    $s7, 0x9E71
+main:   li    $s7, 0x9E71%[4]s
         # Generate text: words of 3..8 lowercase letters, space separated.
         la    $s0, text
         li    $s6, TEXTN
@@ -79,8 +85,8 @@ word:   sll   $t4, $t2, 5
 wend:   addu  $s3, $s3, $t3   # total += word score
         # dedupe: probe the hash set
         beqz  $t2, scannext   # never happens, defensive
-        srl   $t5, $t2, 3
-        andi  $t5, $t5, 4095
+        srl   $t5, $t2, %[5]d
+        %[6]s
 probe:  sll   $t6, $t5, 2
         la    $at, hset
         addu  $t6, $t6, $at
@@ -88,7 +94,7 @@ probe:  sll   $t6, $t5, 2
         beq   $t7, $t2, scannext   # already seen
         beqz  $t7, fresh
         addiu $t5, $t5, 1
-        andi  $t5, $t5, 4095
+        %[6]s
         b     probe
 fresh:  sw    $t2, 0($t6)
         addiu $s4, $s4, 1
@@ -113,6 +119,23 @@ scannext:
         syscall
 ` + randAsm
 
+// perlSet sizes the dedupe set and picks the home slot, hash >> shift
+// masked to the set. Up to scale 4 it keeps 4096 slots and shift 3, so
+// those programs are unchanged. Above, the text's ~819 words per unit of
+// scale need a larger set for the probe to find an empty slot, and the low
+// hash bits: shifted out, three-letter words crowd ~3,500 home slots and
+// the probe chains grow with the square of the text.
+func perlSet(scale int) (slots int, shift uint) {
+	if scale <= 4 {
+		return 4096, 3
+	}
+	slots = 8192
+	for slots < 2048*scale {
+		slots *= 2
+	}
+	return slots, 0
+}
+
 var perlLetterValues = [26]uint32{1, 3, 3, 2, 1, 4, 2, 4, 1, 8, 5, 1, 3, 1, 1, 3, 10, 1, 1, 1, 1, 4, 4, 8, 4, 10}
 
 func goldenPerl(scale int) string {
@@ -129,7 +152,9 @@ func goldenPerl(scale int) string {
 		text[i] = byte(s.next()%26) + 'a'
 		remaining--
 	}
-	hset := make([]uint32, 4096)
+	slots, shift := perlSet(scale)
+	hset := make([]uint32, slots)
+	mask := uint32(slots - 1)
 	var total, unique uint32
 	for pass := 0; pass < 3; pass++ {
 		i := 0
@@ -146,7 +171,7 @@ func goldenPerl(scale int) string {
 				i++
 			}
 			total += score
-			h := hash >> 3 & 4095
+			h := hash >> shift & mask
 			for {
 				if hset[h] == hash {
 					break
@@ -156,7 +181,7 @@ func goldenPerl(scale int) string {
 					unique++
 					break
 				}
-				h = (h + 1) & 4095
+				h = (h + 1) & mask
 			}
 		}
 	}

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Pre-commit gate (`make check` runs this script): gofmt, vet, build,
-# race-enabled tests, the deterministic fault-injection smoke campaign (see
-# docs/robustness.md), the golden corpus with and without cycle skipping,
+# race-enabled tests, the benchmark module's vet and tests, the
+# deterministic fault-injection smoke campaign (see docs/robustness.md),
+# the golden corpus with and without cycle skipping,
 # fuzz smoke, the dashboard smoke against a real server binary, and the
 # sampled-simulation smoke. CPU and allocation profiles are a separate
 # step: `make profile` (see docs/performance.md).
@@ -25,6 +26,12 @@ go build ./...
 
 echo "== go test -race (full suite) =="
 go test -race ./...
+
+echo "== benchmark module (vet + tests) =="
+# bench/ is its own module (replace ../), so the root ./... never builds
+# it: an internal-API change that breaks the benchmark fails here instead
+# of in the benchmark run.
+(cd bench && go vet ./... && go test ./...)
 
 echo "== fault-injection smoke campaign =="
 go run ./cmd/vpir-faults -seed 1 -campaign smoke

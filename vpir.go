@@ -15,6 +15,9 @@
 //	res, err := vpir.RunBenchmark("compress", 1, vpir.Options{Technique: vpir.IR})
 //	fmt.Println(res.IPC, res.ReuseResultRate)
 //
+// Result embeds Report, the derived metrics the HTTP API carries too;
+// Redundancy, SampleSummary and MetricCI alias the internal result types.
+//
 // Everything deeper (the assembler, the pipeline, the reuse buffer) lives
 // in internal packages; this package is the stable surface.
 package vpir
@@ -160,14 +163,17 @@ func (o Options) config() (core.Config, error) {
 	}.Config()
 }
 
+// Report holds one run's counters and derived paper metrics; the HTTP
+// API's "stats" object is the same struct, under its JSON tags.
+type Report = core.Report
+
 // Result is the outcome of one simulation.
 type Result struct {
 	Config string // configuration label, e.g. "VP_Magic ME-SB vlat=0"
 
-	Cycles    uint64
-	Committed uint64
-	Executed  uint64
-	IPC       float64
+	// Report is embedded, so res.IPC and friends read as Result fields; a
+	// composite literal names it: Report: vpir.Report{…}.
+	Report
 
 	// CyclesSkipped is how many of Cycles the quiescence-aware skipper
 	// fast-forwarded instead of simulating cycle by cycle. Purely a
@@ -175,28 +181,6 @@ type Result struct {
 	// skipping off — and zero for sampled runs, whose stitched statistics
 	// have no single underlying machine.
 	CyclesSkipped uint64
-
-	BranchPredRate float64 // %
-	ReturnPredRate float64 // %
-
-	Squashes         uint64
-	SpuriousSquashes uint64
-
-	// IR metrics (% of committed instructions / memory ops).
-	ReuseResultRate float64
-	ReuseAddrRate   float64
-	ExecSquashedPct float64
-	RecoveredPct    float64
-
-	// VP metrics (% of committed instructions / memory ops).
-	VPResultPred    float64
-	VPResultMispred float64
-	VPAddrPred      float64
-	VPAddrMispred   float64
-	ExecTimesPct    [3]float64 // executed once / twice / three-or-more
-
-	Contention               float64
-	MeanBranchResolveLatency float64
 
 	Output   string
 	ExitCode int
@@ -206,30 +190,20 @@ type Result struct {
 	Obs *Obs
 
 	// Sample carries the sampling summary when Options.Sample was set; nil
-	// otherwise. All the headline fields above are then whole-program
-	// estimates (exact sums at 100% coverage, ratio-scaled otherwise).
+	// otherwise. All the Report fields are then whole-program estimates
+	// (exact sums at 100% coverage, ratio-scaled otherwise).
 	Sample *SampleSummary
 }
 
-// SampleSummary describes how a sampled run covered the program.
-type SampleSummary struct {
-	Intervals    int
-	TotalInsts   uint64
-	SampledInsts uint64
-	Coverage     float64 // SampledInsts / TotalInsts
-	Exact        bool    // true when every instruction was measured
-	// CIs are two-sided 95% confidence intervals of the derived metrics
-	// across the sampled intervals.
-	CIs []MetricCI
-}
+// SampleSummary describes how a sampled run covered the program, with 95%
+// confidence intervals of four Report metrics; it is the HTTP API's
+// "sample" object.
+type SampleSummary = sample.Extent
 
 // MetricCI is one metric's confidence interval: Mean ± Half covers the
-// metric's per-interval values at 95% confidence.
-type MetricCI struct {
-	Name string
-	Mean float64
-	Half float64
-}
+// metric's per-interval values at 95% confidence. Name is the metric's
+// JSON name in Report.
+type MetricCI = sample.MetricCI
 
 // Obs is the observability payload of an instrumented run: the sampled
 // time series, the structured event ring, and the metric registry, with
@@ -269,43 +243,17 @@ func (ob *Obs) WriteEventsJSONL(w io.Writer) error { return ob.o.Events().WriteJ
 func (ob *Obs) WritePrometheus(w io.Writer) error { return ob.o.Registry().WritePrometheus(w) }
 
 func resultFrom(m *core.Machine) Result {
-	res := resultFromStats(m.Config().Name(), m.Stats(), m.Output(), m.ExitCode())
-	res.CyclesSkipped = m.CyclesSkipped()
+	res := Result{
+		Config:        m.Config().Name(),
+		Report:        m.Stats().Report(),
+		CyclesSkipped: m.CyclesSkipped(),
+		Output:        m.Output(),
+		ExitCode:      m.ExitCode(),
+	}
 	if o := m.Observer(); o != nil {
 		res.Obs = &Obs{o: o}
 	}
 	return res
-}
-
-// resultFromStats derives the public result from raw counters; sampled runs
-// use it with stitched whole-program statistics.
-func resultFromStats(config string, s core.Stats, output string, exitCode int) Result {
-	rp, rm := s.VPResultRates()
-	ap, am := s.VPAddrRates()
-	return Result{
-		Config:                   config,
-		Cycles:                   s.Cycles,
-		Committed:                s.Committed,
-		Executed:                 s.Executed,
-		IPC:                      s.IPC(),
-		BranchPredRate:           s.BranchPredRate(),
-		ReturnPredRate:           s.ReturnPredRate(),
-		Squashes:                 s.Squashes,
-		SpuriousSquashes:         s.SpuriousSquashes,
-		ReuseResultRate:          s.ReuseResultRate(),
-		ReuseAddrRate:            s.ReuseAddrRate(),
-		ExecSquashedPct:          s.ExecSquashedPct(),
-		RecoveredPct:             s.RecoveredPct(),
-		VPResultPred:             rp,
-		VPResultMispred:          rm,
-		VPAddrPred:               ap,
-		VPAddrMispred:            am,
-		ExecTimesPct:             s.ExecTimesPct(),
-		Contention:               s.Contention(),
-		MeanBranchResolveLatency: s.MeanBrResolveLat(),
-		Output:                   output,
-		ExitCode:                 exitCode,
-	}
 }
 
 // Benchmarks returns the seven benchmark names in the paper's order.
@@ -419,23 +367,13 @@ func runBenchmarkSampled(name string, scale int, opt Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	res := resultFromStats(cfg.Name(), sum.Stats, sum.Output, sum.ExitCode)
-	res.Sample = sampleSummary(sum)
-	return res, nil
-}
-
-func sampleSummary(sum *sample.Summary) *SampleSummary {
-	out := &SampleSummary{
-		Intervals:    sum.Intervals,
-		TotalInsts:   sum.TotalInsts,
-		SampledInsts: sum.SampledInsts,
-		Coverage:     sum.Coverage,
-		Exact:        sum.Exact,
-	}
-	for _, ci := range sum.CIs {
-		out.CIs = append(out.CIs, MetricCI{Name: ci.Name, Mean: ci.Mean, Half: ci.Half})
-	}
-	return out
+	return Result{
+		Config:   cfg.Name(),
+		Report:   sum.Stats.Report(),
+		Output:   sum.Output,
+		ExitCode: sum.ExitCode,
+		Sample:   &sum.Extent,
+	}, nil
 }
 
 // RunSource assembles the given assembly program (see the README for the
@@ -475,23 +413,9 @@ func RegisterBenchmark(name, desc, source string, golden func() string) error {
 	})
 }
 
-// Redundancy is the §4.3 limit study result for one benchmark.
-type Redundancy struct {
-	Total       uint64
-	UniquePct   float64
-	RepeatedPct float64
-	DerivedPct  float64
-	UnaccPct    float64
-
-	ProducersReusedPct float64 // of repeated
-	ProdFarPct         float64
-	ProdNearPct        float64
-
-	RedundantPct float64
-	ReusablePct  float64 // of all instructions
-	// ReusableOfRedundant is the Figure 10 headline (84-97% in the paper).
-	ReusableOfRedundant float64
-}
+// Redundancy is the §4.3 limit study result for one benchmark, in the
+// percentages of Figures 8 to 10.
+type Redundancy = redundancy.Percents
 
 // AnalyzeRedundancy runs the limit study on one benchmark.
 func AnalyzeRedundancy(name string, scale int, maxInsts uint64) (Redundancy, error) {
@@ -503,23 +427,7 @@ func AnalyzeRedundancy(name string, scale int, maxInsts uint64) (Redundancy, err
 	if err != nil {
 		return Redundancy{}, err
 	}
-	rep := float64(r.Repeated)
-	if rep == 0 {
-		rep = 1
-	}
-	return Redundancy{
-		Total:               r.Total,
-		UniquePct:           r.Pct(r.Unique),
-		RepeatedPct:         r.Pct(r.Repeated),
-		DerivedPct:          r.Pct(r.Derivable),
-		UnaccPct:            r.Pct(r.Unaccounted),
-		ProducersReusedPct:  100 * float64(r.ProducersReused) / rep,
-		ProdFarPct:          100 * float64(r.ProdFar) / rep,
-		ProdNearPct:         100 * float64(r.ProdNear) / rep,
-		RedundantPct:        r.Pct(r.Redundant()),
-		ReusablePct:         r.Pct(r.Reusable),
-		ReusableOfRedundant: r.ReusablePct(),
-	}, nil
+	return r.Percents(), nil
 }
 
 // Experiments lists the reproducible paper tables and figures.
