@@ -7,7 +7,7 @@
 //	vpir-bench -scale 4        # 4x longer workloads
 //	vpir-bench -maxinsts 50000 # truncated runs (quick look)
 //	vpir-bench -parallel 8     # 8 sweep workers (results identical at any setting)
-//	vpir-bench -scale 64 -sample 10 -interval 100000 -warmup 2000
+//	vpir-bench -scale 16 -sample 5 -interval 100000 -warmup 2000
 //	                           # paper-scale workloads via checkpointed sampling
 //
 // With -metrics-dir every underlying simulation additionally writes its

@@ -59,48 +59,51 @@ func finishRun(t *testing.T, m *Machine, name string, cfg Config) runResult {
 func TestResetDeterminism(t *testing.T) {
 	cfgs := resetTestConfigs()
 	for _, name := range workload.Names() {
-		w, err := workload.Get(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// One long-lived machine is reset through every configuration in
-		// turn, so each comparison also covers cross-config reuse (the
-		// previous run left different structures behind).
-		reused, prev := runFresh(t, w, cfgs[0])
-		for i, cfg := range cfgs {
-			_, fresh := runFresh(t, w, cfg)
-			var got runResult
-			if i == 0 {
-				got = prev
-			} else {
-				if err := reused.Reset(cfg); err != nil {
-					t.Fatalf("%s/%s: Reset: %v", name, cfg.Name(), err)
-				}
-				got = finishRun(t, reused, name, cfg)
-			}
-			if got.stats != fresh.stats {
-				t.Errorf("%s/%s: reused machine Stats differ from fresh\n reused: %+v\n fresh:  %+v",
-					name, cfg.Name(), got.stats, fresh.stats)
-			}
-			if got.out != fresh.out {
-				t.Errorf("%s/%s: reused machine Output differs from fresh", name, cfg.Name())
-			}
-			if got.exit != fresh.exit {
-				t.Errorf("%s/%s: exit code %d != fresh %d", name, cfg.Name(), got.exit, fresh.exit)
-			}
-		}
-		// Same-config back-to-back reuse, twice, to catch state that only
-		// leaks on the second reuse.
-		cfg := cfgs[len(cfgs)-1]
-		_, fresh := runFresh(t, w, cfg)
-		for round := 0; round < 2; round++ {
-			if err := reused.Reset(cfg); err != nil {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			w, err := workload.Get(name)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if got := finishRun(t, reused, name, cfg); got.stats != fresh.stats {
-				t.Errorf("%s/%s: round %d reuse Stats differ from fresh", name, cfg.Name(), round)
+			// One long-lived machine is reset through every configuration in
+			// turn, so each comparison also covers cross-config reuse (the
+			// previous run left different structures behind).
+			reused, prev := runFresh(t, w, cfgs[0])
+			for i, cfg := range cfgs {
+				_, fresh := runFresh(t, w, cfg)
+				var got runResult
+				if i == 0 {
+					got = prev
+				} else {
+					if err := reused.Reset(cfg); err != nil {
+						t.Fatalf("%s/%s: Reset: %v", name, cfg.Name(), err)
+					}
+					got = finishRun(t, reused, name, cfg)
+				}
+				if got.stats != fresh.stats {
+					t.Errorf("%s/%s: reused machine Stats differ from fresh\n reused: %+v\n fresh:  %+v",
+						name, cfg.Name(), got.stats, fresh.stats)
+				}
+				if got.out != fresh.out {
+					t.Errorf("%s/%s: reused machine Output differs from fresh", name, cfg.Name())
+				}
+				if got.exit != fresh.exit {
+					t.Errorf("%s/%s: exit code %d != fresh %d", name, cfg.Name(), got.exit, fresh.exit)
+				}
 			}
-		}
+			// Same-config back-to-back reuse, twice, to catch state that only
+			// leaks on the second reuse.
+			cfg := cfgs[len(cfgs)-1]
+			_, fresh := runFresh(t, w, cfg)
+			for round := 0; round < 2; round++ {
+				if err := reused.Reset(cfg); err != nil {
+					t.Fatal(err)
+				}
+				if got := finishRun(t, reused, name, cfg); got.stats != fresh.stats {
+					t.Errorf("%s/%s: round %d reuse Stats differ from fresh", name, cfg.Name(), round)
+				}
+			}
+		})
 	}
 }
 

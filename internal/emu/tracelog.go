@@ -32,12 +32,14 @@ func (l *TraceLog) Len() int { return len(l.PC) }
 // instructions (0 = until halt) and returns the execution log.
 func CollectTrace(c *CPU, maxInsts uint64) (*TraceLog, error) {
 	log := &TraceLog{}
-	// Pre-size for the capped case; otherwise start at 64 K entries and
-	// double all four columns in lockstep. Doubling by hand matters for
-	// long uncapped runs: the runtime grows large slices by only 1.25x,
-	// which roughly doubles the total bytes copied across the run, and the
-	// columns stay capacity-synchronized (one length check per retirement).
-	capHint := int(maxInsts)
+	// Pre-size for the capped case, up to 128 K entries (a cap is an upper
+	// bound: a sampled interval's oracle may halt far short of it);
+	// otherwise start at 64 K entries. Past the hint, double all four
+	// columns in lockstep. Doubling by hand matters for long runs: the
+	// runtime grows large slices by only 1.25x, which roughly doubles the
+	// total bytes copied across the run, and the columns stay
+	// capacity-synchronized (one length check per retirement).
+	capHint := int(min(maxInsts, 1<<17))
 	if capHint == 0 {
 		capHint = 1 << 16
 	}

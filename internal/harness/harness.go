@@ -37,8 +37,11 @@ type Runner struct {
 	// serial, in cell order). Each worker keeps one reusable machine per
 	// benchmark (see Sweep).
 	Parallelism int
-	// Timeout bounds each simulation's wall-clock time (0 = unbounded).
-	// A run that exceeds it fails with context.DeadlineExceeded.
+	// Timeout bounds each cell's wall-clock time (0 = unbounded): a plain
+	// run, one interval of RunSampled, or a whole-program sampled cell
+	// (Sample) with its fast-forward pass included. RunSampled's own pass is
+	// bounded by its context alone. A cell that exceeds it fails with
+	// context.DeadlineExceeded.
 	Timeout time.Duration
 	// Retries is how many times a run whose error is marked Transient is
 	// re-attempted (deterministic simulator failures are never retried).
@@ -48,8 +51,9 @@ type Runner struct {
 	// docs/observability.md). Export failures fail the run: a campaign
 	// asked to record its time series must not silently drop it.
 	Obs *ObsExport
-	// OnResult, when non-nil, is invoked by Sweep's workers as each cell
-	// finishes, with the cell's index and its result. Calls arrive in
+	// OnResult, when non-nil, is invoked by the sweep workers as each cell
+	// finishes, with the cell's index and its result; RunSampled calls it
+	// once per interval, with the interval's index. Calls arrive in
 	// completion order, concurrently from multiple workers — the callback
 	// must be safe for concurrent use. The simulation server uses it to
 	// stream sweep results before the whole grid has finished.
@@ -63,14 +67,13 @@ type Runner struct {
 	mu    sync.Mutex
 	cache map[string]cellOutcome
 	red   map[string]*redundancy.Result
-	ff    map[string]*ffEntry
 
 	// runHook, when non-nil, replaces the simulation in attempt; tests use
 	// it to inject failures, panics and transient errors.
 	runHook func(bench string, cfg core.Config) (core.Stats, error)
-	// ffHook, when non-nil, replaces sample.FastForward in fastForward;
-	// tests use it to inject a panicking pass.
-	ffHook func(p *prog.Program, cfg core.Config, plan sample.Plan, maxInsts uint64) (*sample.FFResult, error)
+	// ffHook, when non-nil, replaces sample.Stream in stream; tests use it
+	// to inject a panicking pass and to watch the checkpoints it hands out.
+	ffHook func(ctx context.Context, p *prog.Program, cfg core.Config, plan sample.Plan, maxInsts uint64, emit func(sample.Checkpoint) error) (*sample.FFResult, error)
 }
 
 // Transient wraps an error to mark the failed run as retryable (an external
@@ -150,11 +153,7 @@ func (r *Runner) Redundancy(bench string) (*redundancy.Result, error) {
 		return res, nil
 	}
 	r.mu.Unlock()
-	w, err := workload.Get(bench)
-	if err != nil {
-		return nil, err
-	}
-	p, err := w.Load(r.Scale)
+	p, err := r.load(bench)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -8,6 +9,7 @@ import (
 	"time"
 
 	"github.com/vpir-sim/vpir/internal/core"
+	"github.com/vpir-sim/vpir/internal/sample"
 	"github.com/vpir-sim/vpir/internal/workload"
 )
 
@@ -152,16 +154,40 @@ func TestTransientRetry(t *testing.T) {
 }
 
 // TestRunTimeout: a deadline shorter than any real simulation aborts the
-// run with context.DeadlineExceeded instead of hanging the campaign.
+// run with context.DeadlineExceeded instead of hanging the campaign: a plain
+// run, a whole-program sampled cell (whose deadline covers its fast-forward
+// pass) and each interval of RunSampled.
 func TestRunTimeout(t *testing.T) {
-	r := NewRunner()
-	r.Timeout = time.Nanosecond // expires before the first slice completes
-	_, err := r.Run("compress", core.DefaultConfig())
-	if err == nil {
-		t.Fatal("nanosecond deadline did not abort the run")
-	}
-	if !strings.Contains(err.Error(), "deadline") {
-		t.Fatalf("timeout error does not mention the deadline: %v", err)
+	plan := sample.Plan{Interval: 20_000, Every: 2, Warmup: 500}
+	for _, c := range []struct {
+		name string
+		run  func(r *Runner) error
+	}{
+		{"plain", func(r *Runner) error {
+			_, err := r.Run("compress", core.DefaultConfig())
+			return err
+		}},
+		{"whole-program sampled", func(r *Runner) error {
+			r.Sample = &plan
+			_, err := r.Run("compress", core.IRChoice(false))
+			return err
+		}},
+		{"RunSampled", func(r *Runner) error {
+			_, err := r.RunSampled(context.Background(), "compress", core.IRChoice(false), plan)
+			return err
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			r := NewRunner()
+			r.Timeout = time.Nanosecond // expires before the first slice completes
+			err := c.run(r)
+			if err == nil {
+				t.Fatal("nanosecond deadline did not abort the run")
+			}
+			if !errors.Is(err, context.DeadlineExceeded) || !strings.Contains(err.Error(), "deadline") {
+				t.Fatalf("timeout error is not the deadline: %v", err)
+			}
+		})
 	}
 }
 

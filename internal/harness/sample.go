@@ -11,16 +11,9 @@ import (
 	"github.com/vpir-sim/vpir/internal/workload"
 )
 
-// WholeProgram as a SampleSpec.Index means "run the whole sampled plan in
-// this cell": fast-forward, simulate every interval serially, stitch. Indexes
-// ≥ 0 name one interval, the unit of parallel fan-out.
-const WholeProgram = -1
-
-// SampleSpec attaches a sampling regime to a sweep cell.
-type SampleSpec struct {
-	Plan  sample.Plan
-	Index int
-}
+// wholeProgram is the interval index in a whole-program sampled cell's cache
+// key; indexes ≥ 0 name one interval of a RunSampled pass.
+const wholeProgram = -1
 
 // samplePoolSuffix separates sampled machines from plain ones in a worker's
 // pool. NewRestored builds a machine with no instruction cap, so a Reset
@@ -28,190 +21,188 @@ type SampleSpec struct {
 // a machine must never migrate between the populations.
 const samplePoolSuffix = "\x00sample"
 
-// ffEntry is one fast-forward pass, computed once per (bench, cfg, plan,
-// scale, cap) under singleflight: every interval cell of the same plan shares
-// the checkpoints, and a worker that loses the race blocks on the winner
-// instead of redoing the functional run.
-type ffEntry struct {
-	once sync.Once
+// interval is one checkpoint of a streamed fast-forward pass on its way to a
+// worker. It holds the only reference the harness keeps to the checkpoint's
+// state, which becomes garbage once the interval ends.
+type interval struct {
 	prog *prog.Program
-	ff   *sample.FFResult
-	err  error
+	plan sample.Plan
+	ck   sample.Checkpoint
 }
 
-// fastForward returns the cached fast-forward pass for the cell's plan,
-// running it on first use. The program image is loaded once alongside and
-// shared — it is read-only after assembly, and both interval oracles and
-// restored machines only ever copy from it.
-func (r *Runner) fastForward(bench string, cfg core.Config, plan sample.Plan) (*prog.Program, *sample.FFResult, error) {
-	key := fmt.Sprintf("%s|%s|%s|%d|%d", bench, cfg.Key(), plan.Key(), r.Scale, r.MaxInsts)
-	r.mu.Lock()
-	if r.ff == nil {
-		r.ff = make(map[string]*ffEntry)
+// load assembles a benchmark at the Runner's scale.
+func (r *Runner) load(bench string) (*prog.Program, error) {
+	w, err := workload.Get(bench)
+	if err != nil {
+		return nil, err
 	}
-	e, ok := r.ff[key]
-	if !ok {
-		e = &ffEntry{}
-		r.ff[key] = e
-	}
-	r.mu.Unlock()
-	e.once.Do(func() {
-		// A panic must land in e.err: Once counts a panicking Do as done, and
-		// every later caller would otherwise get a nil result and no error.
-		defer func() {
-			if p := recover(); p != nil {
-				e.err = fmt.Errorf("harness: panic fast-forwarding %s under %s: %v", bench, cfg.Name(), p)
-			}
-		}()
-		w, err := workload.Get(bench)
-		if err != nil {
-			e.err = err
-			return
-		}
-		p, err := w.Load(r.Scale)
-		if err != nil {
-			e.err = err
-			return
-		}
-		e.prog = p
-		ff := sample.FastForward
-		if r.ffHook != nil {
-			ff = r.ffHook
-		}
-		e.ff, e.err = ff(p, cfg, plan, r.MaxInsts)
-	})
-	return e.prog, e.ff, e.err
+	return w.Load(r.Scale)
 }
 
-// attemptInterval simulates one sampled interval on a pooled machine. Panics
-// are converted to errors like attempt's, and the pooled sampled machine is
-// dropped — its state is unknown mid-update.
-func (r *Runner) attemptInterval(ctx context.Context, bench string, cfg core.Config, spec *SampleSpec, machines map[string]*core.Machine) (out cellOutcome, err error) {
+// stream runs the fast-forward pass of (bench, cfg, plan) at the Runner's cap
+// and hands each checkpoint to emit as soon as it is complete (see
+// sample.Stream). A panic in the pass comes back as an error naming the bench
+// and the configuration. Nothing of the pass is kept.
+func (r *Runner) stream(ctx context.Context, p *prog.Program, bench string, cfg core.Config, plan sample.Plan, emit func(sample.Checkpoint) error) (ff *sample.FFResult, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			ff, err = nil, fmt.Errorf("harness: panic fast-forwarding %s under %s: %v", bench, cfg.Name(), v)
+		}
+	}()
+	pass := sample.Stream
+	if r.ffHook != nil {
+		pass = r.ffHook
+	}
+	return pass(ctx, p, cfg, plan, r.MaxInsts, emit)
+}
+
+// simulateInterval re-derives the interval's oracle, restores the worker's
+// pooled sampled machine onto its checkpoint and drives the interval. A
+// panic becomes an error and drops the pooled machine: its state is unknown
+// mid-update.
+func (r *Runner) simulateInterval(ctx context.Context, bench string, cfg core.Config, iv *interval, machines map[string]*core.Machine) (res sample.IntervalResult, err error) {
+	ck := &iv.ck
 	poolKey := bench + samplePoolSuffix
 	defer func() {
 		if p := recover(); p != nil {
 			delete(machines, poolKey)
-			err = fmt.Errorf("harness: panic simulating %s interval %d under %s: %v", bench, spec.Index, cfg.Name(), p)
+			err = fmt.Errorf("harness: panic simulating %s interval %d under %s: %v", bench, ck.Index, cfg.Name(), p)
 		}
 	}()
-	p, ff, err := r.fastForward(bench, cfg, spec.Plan)
+	oracle, err := sample.IntervalOracle(iv.prog, ck, iv.plan.OracleLen(ck, r.MaxInsts))
 	if err != nil {
-		return out, err
+		return res, err
 	}
+	m := machines[poolKey]
+	if m != nil {
+		err = m.ResetTo(cfg, ck.State, oracle)
+	} else if m, err = core.NewRestored(iv.prog, cfg, ck.State, oracle); err == nil && machines != nil {
+		machines[poolKey] = m
+	}
+	if err != nil {
+		return res, err
+	}
+	return sample.DriveInterval(ctx, m, ck, ck.Start-ck.At)
+}
+
+// attemptInterval simulates one interval cell of a RunSampled pass, bounded
+// by Runner.Timeout.
+func (r *Runner) attemptInterval(ctx context.Context, bench string, cfg core.Config, iv *interval, machines map[string]*core.Machine) (out cellOutcome, err error) {
 	if r.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, r.Timeout)
 		defer cancel()
 	}
-	iv, err := r.runInterval(ctx, p, ff, cfg, spec.Index, machines, poolKey)
+	res, err := r.simulateInterval(ctx, bench, cfg, iv, machines)
 	if err != nil {
 		return out, err
 	}
-	out.stats = iv.Stats
-	out.interval = &iv
+	out.stats, out.interval = res.Stats, &res
 	return out, nil
 }
 
-// runInterval re-derives interval k's oracle, restores a pooled machine onto
-// its checkpoint and drives the interval.
-func (r *Runner) runInterval(ctx context.Context, p *prog.Program, ff *sample.FFResult, cfg core.Config, k int, machines map[string]*core.Machine, poolKey string) (sample.IntervalResult, error) {
-	ck, warm, measured, err := ff.IntervalSpec(k)
-	if err != nil {
-		return sample.IntervalResult{}, err
-	}
-	oracle, err := sample.IntervalOracle(p, ck, warm+measured)
-	if err != nil {
-		return sample.IntervalResult{}, err
-	}
-	var m *core.Machine
-	if machines != nil {
-		m = machines[poolKey]
-	}
-	if m != nil {
-		if err := m.ResetTo(cfg, ck.State, oracle); err != nil {
-			return sample.IntervalResult{}, err
-		}
-	} else {
-		m, err = core.NewRestored(p, cfg, ck.State, oracle)
-		if err != nil {
-			return sample.IntervalResult{}, err
-		}
-		if machines != nil {
-			machines[poolKey] = m
-		}
-	}
-	return sample.DriveInterval(ctx, m, ck, warm)
-}
-
-// attemptWholeSampled runs the entire sampled plan inside one cell: every
-// interval in index order on the worker's pooled machine, then the stitch.
-// This is the transparent-sampling path (Runner.Sample) where parallelism
-// comes from the grid's other cells; RunSampled instead fans the intervals
-// out as their own cells.
-func (r *Runner) attemptWholeSampled(ctx context.Context, bench string, cfg core.Config, spec *SampleSpec, machines map[string]*core.Machine) (out cellOutcome, err error) {
-	poolKey := bench + samplePoolSuffix
-	defer func() {
-		if p := recover(); p != nil {
-			delete(machines, poolKey)
-			err = fmt.Errorf("harness: panic in sampled run of %s under %s: %v", bench, cfg.Name(), p)
-		}
-	}()
-	p, ff, err := r.fastForward(bench, cfg, spec.Plan)
-	if err != nil {
-		return out, err
-	}
+// attemptWholeSampled runs the entire sampled plan inside one cell, bounded
+// as a whole by Runner.Timeout: the cell's worker runs the fast-forward pass
+// and simulates each interval on its pooled machine as that interval's
+// checkpoint arrives, then stitches. This is the transparent-sampling path
+// (Runner.Sample), where parallelism comes from the grid's other cells;
+// RunSampled instead fans the intervals out across the pool.
+func (r *Runner) attemptWholeSampled(ctx context.Context, bench string, cfg core.Config, plan sample.Plan, machines map[string]*core.Machine) (out cellOutcome, err error) {
 	if r.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, r.Timeout)
 		defer cancel()
 	}
-	ivs := make([]sample.IntervalResult, len(ff.Checkpoints))
-	for k := range ff.Checkpoints {
-		iv, err := r.runInterval(ctx, p, ff, cfg, k, machines, poolKey)
+	p, err := r.load(bench)
+	if err != nil {
+		return out, err
+	}
+	var ivs []sample.IntervalResult
+	ff, err := r.stream(ctx, p, bench, cfg, plan, func(ck sample.Checkpoint) error {
+		res, err := r.simulateInterval(ctx, bench, cfg, &interval{prog: p, plan: plan, ck: ck}, machines)
 		if err != nil {
-			return out, fmt.Errorf("harness: %s interval %d: %w", bench, k, err)
+			return fmt.Errorf("harness: %s interval %d: %w", bench, ck.Index, err)
 		}
-		ivs[k] = iv
+		ivs = append(ivs, res)
+		return nil
+	})
+	if err != nil {
+		return out, err
 	}
 	sum, err := sample.Stitch(ff, ivs)
 	if err != nil {
 		return out, err
 	}
-	out.stats = sum.Stats
-	out.summary = sum
+	out.stats, out.summary = sum.Stats, sum
 	return out, nil
 }
 
 // RunSampled executes one (benchmark, configuration) under the plan with the
-// checkpoints as the unit of parallelism: one fast-forward pass, then every
-// interval fans out across Sweep's worker pool as its own cell, and the
-// results are stitched in index order — a deterministic merge no matter how
-// the intervals were scheduled. Per-interval results are cached like any
-// other cell, so a re-run after a partial failure only simulates the missing
-// intervals.
+// checkpoints as the unit of parallelism. The fast-forward pass runs on the
+// calling goroutine and feeds each checkpoint, as soon as it is complete, to
+// Sweep's worker pool as an interval cell; the pass waits while every worker
+// is busy and as many checkpoints are queued. The results are stitched in
+// index order — a deterministic merge no matter how the intervals were
+// scheduled — so a run holds only the checkpoints in flight, never the
+// whole pass.
+//
+// ctx bounds the pass and every interval; Runner.Timeout bounds each
+// interval. The first failure, of the pass or of an interval, cancels the
+// rest and is returned; queued intervals then finish with the cancellation
+// unsimulated. Per-interval results are cached like any other cell, so a
+// re-run after a partial failure only simulates the missing intervals (it
+// runs the functional pass again to get their checkpoints).
 func (r *Runner) RunSampled(ctx context.Context, bench string, cfg core.Config, plan sample.Plan) (*sample.Summary, error) {
 	plan = plan.Normalize()
 	if err := plan.Validate(); err != nil {
 		return nil, err
 	}
-	_, ff, err := r.fastForward(bench, cfg, plan)
+	p, err := r.load(bench)
 	if err != nil {
 		return nil, err
 	}
-	cells := make([]SweepCell, len(ff.Checkpoints))
-	for k := range cells {
-		cells[k] = SweepCell{Bench: bench, Cfg: cfg, Sample: &SampleSpec{Plan: plan, Index: k}}
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var (
+		mu    sync.Mutex
+		first error
+		ivs   []sample.IntervalResult
+		ff    *sample.FFResult
+	)
+	fail := func(err error) {
+		mu.Lock()
+		defer mu.Unlock()
+		if first == nil {
+			first = err
+			cancel()
+		}
 	}
-	results := r.Sweep(ctx, cells)
-	ivs := make([]sample.IntervalResult, len(results))
-	for i, res := range results {
+	r.pool(ctx, r.workers(), func(send func(int, SweepCell)) {
+		var err error
+		ff, err = r.stream(ctx, p, bench, cfg, plan, func(ck sample.Checkpoint) error {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			send(ck.Index, SweepCell{Bench: bench, Cfg: cfg, iv: &interval{prog: p, plan: plan, ck: ck}})
+			return nil
+		})
+		if err != nil {
+			fail(err)
+		}
+	}, func(k int, res SweepResult) {
 		if res.Err != nil {
-			return nil, fmt.Errorf("harness: %s interval %d: %w", bench, i, res.Err)
+			fail(fmt.Errorf("harness: %s interval %d: %w", bench, k, res.Err))
+			return
 		}
-		if res.Interval == nil {
-			return nil, fmt.Errorf("harness: %s interval %d returned no result", bench, i)
+		mu.Lock()
+		defer mu.Unlock()
+		for len(ivs) <= k {
+			ivs = append(ivs, sample.IntervalResult{})
 		}
-		ivs[i] = *res.Interval
+		ivs[k] = *res.Interval
+	})
+	if first != nil {
+		return nil, first
 	}
 	return sample.Stitch(ff, ivs)
 }

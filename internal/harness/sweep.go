@@ -8,21 +8,16 @@ import (
 
 	"github.com/vpir-sim/vpir/internal/core"
 	"github.com/vpir-sim/vpir/internal/sample"
-	"github.com/vpir-sim/vpir/internal/workload"
 )
 
 // SweepCell names one simulation in a sweep: a (benchmark, configuration)
-// pair, optionally narrowed to one sampled interval (or widened to a whole
-// sampled plan) by Sample.
+// pair. Under Runner.Sample the cell is a whole-program sampled run.
 type SweepCell struct {
 	Bench string
 	Cfg   core.Config
-	// Sample, when non-nil, makes this a sampled cell: Index ≥ 0 simulates
-	// one interval of the plan (the unit of parallel fan-out), Index ==
-	// WholeProgram runs the full plan serially inside the cell. Nil cells are
-	// plain full-program simulations — unless Runner.Sample is set, which
-	// samples them transparently.
-	Sample *SampleSpec
+	// iv, set only by RunSampled, narrows the cell to one interval of a
+	// streamed fast-forward pass.
+	iv *interval
 }
 
 // SweepResult is the outcome of one cell. Exactly one of Stats/Err is
@@ -32,12 +27,11 @@ type SweepResult struct {
 	Bench string
 	Cfg   core.Config
 	Stats core.Stats
-	// Interval carries the per-interval measurement for sampled interval
-	// cells (Sample.Index ≥ 0); nil otherwise.
+	// Interval carries the per-interval measurement of one interval of a
+	// RunSampled pass; nil otherwise.
 	Interval *sample.IntervalResult
-	// Summary carries the stitched summary of a whole-plan sampled cell
-	// (Sample.Index == WholeProgram, or a plain cell under Runner.Sample);
-	// nil otherwise.
+	// Summary carries the stitched summary of a whole-program sampled cell
+	// (a cell under Runner.Sample); nil otherwise.
 	Summary *sample.Summary
 	// Attempts records which attempt produced this result: 0 for a cache
 	// hit, 1 for a first-try success, n > 1 when n−1 transient failures were
@@ -83,46 +77,57 @@ func (r *Runner) workers() int {
 // what to do with partial results.
 func (r *Runner) Sweep(ctx context.Context, cells []SweepCell) []SweepResult {
 	results := make([]SweepResult, len(cells))
-	n := r.workers()
-	if n > len(cells) {
-		n = len(cells)
+	r.pool(ctx, max(1, min(r.workers(), len(cells))), func(send func(int, SweepCell)) {
+		for i, c := range cells {
+			send(i, c)
+		}
+	}, func(i int, res SweepResult) { results[i] = res })
+	return results
+}
+
+// pool is the one worker pool behind Sweep and RunSampled. It runs every cell
+// feed sends on n workers and, as each finishes, passes its result to done
+// and then to OnResult, with the index it was sent under. send blocks while
+// every worker is busy and n cells are queued. A cell taken after ctx is
+// cancelled completes with ctx's error unsimulated, so a cancelled feed
+// drains the queue. pool returns once feed has returned and every cell sent
+// has finished: its workers are joined on every path.
+func (r *Runner) pool(ctx context.Context, n int, feed func(send func(int, SweepCell)), done func(int, SweepResult)) {
+	type job struct {
+		i int
+		c SweepCell
 	}
-	if n < 1 {
-		n = 1
-	}
-	jobs := make(chan int)
+	jobs := make(chan job, n)
 	var wg sync.WaitGroup
-	for w := 0; w < n; w++ {
+	for range n {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// machines is worker-private (no locking) and lives for the
-			// whole sweep, so a benchmark's machine is rebuilt at most once
-			// per worker regardless of how many configurations it runs.
+			// machines is worker-private (no locking) and lives as long as
+			// the pool, so a benchmark's machine is rebuilt at most once per
+			// worker regardless of how many cells it runs.
 			machines := make(map[string]*core.Machine)
-			for i := range jobs {
-				c := cells[i]
-				res := SweepResult{Bench: c.Bench, Cfg: c.Cfg}
+			for j := range jobs {
+				res := SweepResult{Bench: j.c.Bench, Cfg: j.c.Cfg}
 				if err := ctx.Err(); err != nil {
 					res.Err = err
 				} else {
 					var out cellOutcome
-					out, res.Attempts, res.Err = r.runCell(ctx, c, machines)
+					out, res.Attempts, res.Err = r.runCell(ctx, j.c, machines)
 					res.Stats, res.Interval, res.Summary = out.stats, out.interval, out.summary
 				}
-				results[i] = res
+				done(j.i, res)
 				if r.OnResult != nil {
-					r.OnResult(i, res)
+					r.OnResult(j.i, res)
 				}
 			}
 		}()
 	}
-	for i := range cells {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	return results
+	defer func() {
+		close(jobs)
+		wg.Wait()
+	}()
+	feed(func(i int, c SweepCell) { jobs <- job{i, c} })
 }
 
 // cellOutcome is everything a cell can produce: the stats every cell has,
@@ -135,13 +140,13 @@ type cellOutcome struct {
 }
 
 // cellKey builds the cache key for a cell. Non-sampled keys are byte-for-byte
-// what they were before sampling existed, so persisted caches keyed on them
-// stay valid; sampled cells append the plan key and interval index, so
-// sampled and non-sampled results can never alias.
-func (r *Runner) cellKey(bench string, cfg core.Config, spec *SampleSpec) string {
+// what they were before sampling existed; sampled cells (plan non-nil) append
+// the plan key and the interval index (wholeProgram for a whole-program
+// cell), so sampled and non-sampled results can never alias.
+func (r *Runner) cellKey(bench string, cfg core.Config, plan *sample.Plan, k int) string {
 	key := fmt.Sprintf("%s|%s|%d|%d", bench, cfg.Key(), r.Scale, r.MaxInsts)
-	if spec != nil {
-		key = fmt.Sprintf("%s|%s|k%d", key, spec.Plan.Key(), spec.Index)
+	if plan != nil {
+		key = fmt.Sprintf("%s|%s|k%d", key, plan.Key(), k)
 	}
 	return key
 }
@@ -150,13 +155,15 @@ func (r *Runner) cellKey(bench string, cfg core.Config, spec *SampleSpec) string
 // Sweep. The returned attempt count is 0 for a cache hit and otherwise the
 // 1-based attempt that produced the result.
 func (r *Runner) runCell(ctx context.Context, c SweepCell, machines map[string]*core.Machine) (cellOutcome, int, error) {
-	spec := c.Sample
-	if spec == nil && r.Sample != nil {
-		// Transparent sampling: a plain cell under a sampling Runner becomes
-		// a whole-plan sampled run.
-		spec = &SampleSpec{Plan: *r.Sample, Index: WholeProgram}
+	var key string
+	switch {
+	case c.iv != nil:
+		key = r.cellKey(c.Bench, c.Cfg, &c.iv.plan, c.iv.ck.Index)
+	case r.Sample != nil:
+		key = r.cellKey(c.Bench, c.Cfg, r.Sample, wholeProgram)
+	default:
+		key = r.cellKey(c.Bench, c.Cfg, nil, 0)
 	}
-	key := r.cellKey(c.Bench, c.Cfg, spec)
 	r.mu.Lock()
 	if out, ok := r.cache[key]; ok {
 		r.mu.Unlock()
@@ -165,10 +172,10 @@ func (r *Runner) runCell(ctx context.Context, c SweepCell, machines map[string]*
 	r.mu.Unlock()
 
 	attempts := 1
-	out, err := r.attemptCell(ctx, c.Bench, c.Cfg, spec, machines)
+	out, err := r.attemptCell(ctx, c, machines)
 	for err != nil && IsTransient(err) && attempts <= r.Retries {
 		attempts++
-		out, err = r.attemptCell(ctx, c.Bench, c.Cfg, spec, machines)
+		out, err = r.attemptCell(ctx, c, machines)
 	}
 	if err != nil {
 		return cellOutcome{}, attempts, err
@@ -179,16 +186,18 @@ func (r *Runner) runCell(ctx context.Context, c SweepCell, machines map[string]*
 	return out, attempts, nil
 }
 
-// attemptCell dispatches one attempt to the cell's simulation mode.
-func (r *Runner) attemptCell(ctx context.Context, bench string, cfg core.Config, spec *SampleSpec, machines map[string]*core.Machine) (cellOutcome, error) {
+// attemptCell dispatches one attempt to the cell's simulation mode: one
+// interval of a RunSampled pass, a whole-program sampled run under
+// Runner.Sample, or a plain run.
+func (r *Runner) attemptCell(ctx context.Context, c SweepCell, machines map[string]*core.Machine) (cellOutcome, error) {
 	switch {
-	case spec == nil:
-		s, err := r.attempt(ctx, bench, cfg, machines)
-		return cellOutcome{stats: s}, err
-	case spec.Index == WholeProgram:
-		return r.attemptWholeSampled(ctx, bench, cfg, spec, machines)
+	case c.iv != nil:
+		return r.attemptInterval(ctx, c.Bench, c.Cfg, c.iv, machines)
+	case r.Sample != nil:
+		return r.attemptWholeSampled(ctx, c.Bench, c.Cfg, *r.Sample, machines)
 	default:
-		return r.attemptInterval(ctx, bench, cfg, spec, machines)
+		s, err := r.attempt(ctx, c.Bench, c.Cfg, machines)
+		return cellOutcome{stats: s}, err
 	}
 }
 
@@ -213,11 +222,7 @@ func (r *Runner) attempt(ctx context.Context, bench string, cfg core.Config, mac
 			return core.Stats{}, err
 		}
 	} else {
-		w, err := workload.Get(bench)
-		if err != nil {
-			return core.Stats{}, err
-		}
-		p, err := w.Load(r.Scale)
+		p, err := r.load(bench)
 		if err != nil {
 			return core.Stats{}, err
 		}

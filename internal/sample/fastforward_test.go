@@ -1,6 +1,7 @@
 package sample
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -259,6 +260,51 @@ func TestFastForwardJoinsRBWarmer(t *testing.T) {
 				if ck.State.RB == nil {
 					t.Fatalf("checkpoint %d has no RB snapshot", ck.Index)
 				}
+			}
+		})
+	}
+}
+
+// TestFastForwardCancellation checks that a cancelled context stops the pass
+// wherever it is, before the first checkpoint, between checkpoints and in
+// the tail after the last one, with an error that is the cancellation, and
+// that the RB goroutine is joined on that path too.
+func TestFastForwardCancellation(t *testing.T) {
+	cfg := core.IRChoice(false)
+	p := loopProgram(t, 5_000, emu.SysExit) // ~40 K instructions
+	for _, c := range []struct {
+		name     string
+		plan     Plan
+		maxInsts uint64
+		cancelAt int // cancel as this checkpoint is handed out; -1 = before the pass
+	}{
+		{name: "before the pass", plan: Plan{Interval: 4_000}, cancelAt: -1},
+		{name: "between checkpoints", plan: Plan{Interval: 4_000}, cancelAt: 2},
+		// Checkpoints at 0 and 20 000 only; the second is handed out in the
+		// tail run to the cap.
+		{name: "in the tail", plan: Plan{Interval: 4_000, Every: 5}, maxInsts: 30_001, cancelAt: 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			if c.cancelAt < 0 {
+				cancel()
+			}
+			handed := 0
+			_, err := Stream(ctx, p, cfg, c.plan, c.maxInsts, func(ck Checkpoint) error {
+				handed++
+				if ck.Index == c.cancelAt {
+					cancel()
+				}
+				return nil
+			})
+			waitGoroutines(t, before)
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want the cancellation", err)
+			}
+			if c.cancelAt >= 0 && handed != c.cancelAt+1 {
+				t.Fatalf("%d checkpoints handed out, want the pass to stop after %d", handed, c.cancelAt+1)
 			}
 		})
 	}

@@ -8,8 +8,9 @@
 // whole-program estimates with per-metric confidence intervals.
 //
 // Checkpoints are the unit of parallelism: intervals are independent once
-// their checkpoints exist, so they fan out across the harness worker pool
-// as sweep cells (see internal/harness). Determinism is preserved end to end — the same plan over
+// their checkpoints exist, so Stream hands each one out as soon as it is
+// complete and the harness runs its interval on a sweep worker while the
+// pass goes on (see internal/harness). Determinism is preserved end to end — the same plan over
 // the same program yields bit-identical checkpoints, interval statistics and
 // stitched totals regardless of execution order, and a plan covering the
 // whole program in one interval reproduces a non-sampled run exactly.
@@ -107,6 +108,20 @@ func (f *FFResult) IntervalSpec(k int) (ck *Checkpoint, warm, measured uint64, e
 		measured = remaining
 	}
 	return ck, warm, measured, nil
+}
+
+// OracleLen is how many instructions the oracle of checkpoint ck's interval
+// covers, known as soon as ck is handed out rather than once the pass ends:
+// the detailed warmup plus a whole interval, cut at the instruction cap
+// (maxInsts, 0 = none). IntervalOracle stops at the program's halt by
+// itself, so the last interval commits exactly the warm+measured
+// instructions IntervalSpec gives it.
+func (p Plan) OracleLen(ck *Checkpoint, maxInsts uint64) uint64 {
+	n := ck.Start - ck.At + p.Normalize().Interval
+	if maxInsts > 0 && n > maxInsts-ck.At {
+		n = maxInsts - ck.At
+	}
+	return n
 }
 
 // IntervalResult is one interval's detailed measurement: the statistics of

@@ -134,9 +134,10 @@ func (w *warmer) observe(t *emu.Trace) {
 }
 
 // snapshotInto captures the warm state into a checkpoint's restore record.
-// st.RB is filled in by the RB goroutine once it has applied every update
-// before this point; it is safe to read only after stop.
-func (w *warmer) snapshotInto(st *core.RestoreState) {
+// With an RB, st.RB is filled in by the RB goroutine once it has applied
+// every update before this point, and the returned channel is closed then;
+// without one the channel is nil and the record is complete on return.
+func (w *warmer) snapshotInto(st *core.RestoreState) <-chan struct{} {
 	st.Bpred = w.bp.Snapshot()
 	st.ICache = w.ic.Snapshot()
 	st.DCache = w.dc.Snapshot()
@@ -147,12 +148,27 @@ func (w *warmer) snapshotInto(st *core.RestoreState) {
 		st.VPA = w.vpa.Snapshot()
 	}
 	if w.rbq != nil {
-		w.rbq.handOff(st)
+		return w.rbq.handOff(st)
+	}
+	return nil
+}
+
+// await blocks until rbDone, the channel snapshotInto returned for st, is
+// closed (a nil channel means st is complete already). If the RB goroutine
+// panicked first, st.RB never comes: await joins the goroutine and re-raises
+// its panic.
+func (w *warmer) await(st *core.RestoreState, rbDone <-chan struct{}) {
+	if rbDone == nil {
+		return
+	}
+	<-rbDone
+	if st.RB == nil {
+		w.stop()
 	}
 }
 
 // stop joins the RB goroutine, if any, re-raising a panic it recovered. It
-// is idempotent, so FastForward can defer it on every path.
+// is idempotent, so Stream can defer it on every path.
 func (w *warmer) stop() {
 	if q := w.rbq; q != nil {
 		w.rbq = nil
@@ -179,11 +195,12 @@ type rbRecord struct {
 
 // rbBatch is a run of updates in retirement order. A batch tagged with a
 // checkpoint's restore state ends at that checkpoint: the RB goroutine
-// snapshots the buffer into st.RB after applying it.
+// snapshots the buffer into st.RB after applying it, then closes done.
 type rbBatch struct {
 	n    int
 	recs [rbBatchLen]rbRecord
 	st   *core.RestoreState
+	done chan struct{}
 }
 
 // rbWarmer warms the reuse buffer on its own goroutine, so a sampled IR
@@ -229,10 +246,17 @@ func (q *rbWarmer) push(pc uint32, in *isa.Inst, src1, src2, res isa.Word, addr 
 
 // handOff sends the current batch, tagged with st (nil for a full batch),
 // and takes a recycled one, waiting if the RB is rbBatches batches behind.
-func (q *rbWarmer) handOff(st *core.RestoreState) {
-	q.cur.st = st
+// For a tagged batch it returns the channel closed once st.RB is written
+// (or the RB goroutine has panicked instead).
+func (q *rbWarmer) handOff(st *core.RestoreState) <-chan struct{} {
+	var done chan struct{}
+	if st != nil {
+		done = make(chan struct{})
+	}
+	q.cur.st, q.cur.done = st, done
 	q.full <- q.cur
 	q.cur = <-q.free
+	return done
 }
 
 // run is the RB goroutine. After a panic it keeps recycling batches without
@@ -244,7 +268,10 @@ func (q *rbWarmer) run() {
 		if q.panicked == "" {
 			q.apply(b)
 		}
-		b.n, b.st = 0, nil
+		if b.done != nil {
+			close(b.done)
+		}
+		b.n, b.st, b.done = 0, nil, nil
 		q.free <- b
 	}
 }

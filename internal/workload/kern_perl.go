@@ -34,7 +34,7 @@ lval:   .byte 1,3,3,2,1,4,2,4,1,8,5,1,3,1,1,3,10,1,1,1,1,4,4,8,4,10
         .align 2
         .text
 main:   li    $s7, 0x9E71%[4]s
-        # Generate text: words of 3..8 lowercase letters, space separated.
+        # Generate text: words of 3..10 lowercase letters, space separated.
         la    $s0, text
         li    $s6, TEXTN
         li    $s1, 0

@@ -107,7 +107,8 @@ type Options struct {
 	// (core.DefaultWatchdog); negative disables the watchdog.
 	WatchdogCycles int64
 
-	// Timeout bounds the simulation's wall-clock time (0 = unbounded).
+	// Timeout bounds the simulation's wall-clock time (0 = unbounded). With
+	// Sample it bounds the whole sampled run, fast-forward included.
 	Timeout time.Duration
 
 	// Metrics, when non-nil, attaches the time-resolved observability
@@ -349,7 +350,9 @@ func loadBenchmark(name string, scale int) (*prog.Program, error) {
 }
 
 // runBenchmarkSampled is the checkpointed-sampling path: the harness fans
-// the plan's intervals across a worker pool and stitches the results.
+// the plan's intervals across a worker pool as the fast-forward pass hands
+// out their checkpoints, and stitches the results. Options.Timeout bounds
+// the whole run, fast-forward included.
 func runBenchmarkSampled(name string, scale int, opt Options) (Result, error) {
 	if opt.Metrics != nil {
 		return Result{}, fmt.Errorf("vpir: Metrics instrumentation is not supported with Sample")
@@ -361,9 +364,14 @@ func runBenchmarkSampled(name string, scale int, opt Options) (Result, error) {
 	r := harness.NewRunner()
 	r.Scale = scale
 	r.MaxInsts = opt.MaxInsts
-	r.Timeout = opt.Timeout
+	ctx := context.Background()
+	if opt.Timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, opt.Timeout)
+		defer cancel()
+	}
 	plan := sample.Plan{Interval: opt.Sample.Interval, Every: opt.Sample.Every, Warmup: opt.Sample.Warmup}
-	sum, err := r.RunSampled(context.Background(), name, cfg, plan)
+	sum, err := r.RunSampled(ctx, name, cfg, plan)
 	if err != nil {
 		return Result{}, err
 	}

@@ -1,6 +1,8 @@
 package vpir
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -290,5 +292,21 @@ func TestRunBenchmarkWithMetrics(t *testing.T) {
 	if plain.IPC != res.IPC || plain.Cycles != res.Cycles {
 		t.Errorf("observer changed results: %v/%v cycles vs %v/%v",
 			plain.IPC, plain.Cycles, res.IPC, res.Cycles)
+	}
+}
+
+// TestSampledRunHonoursTimeout: Options.Timeout bounds a sampled run as a
+// whole, so a paper-scale plan whose fast-forward alone takes seconds
+// returns its deadline error promptly instead of after the pass.
+func TestSampledRunHonoursTimeout(t *testing.T) {
+	start := time.Now()
+	_, err := RunBenchmark("gcc", 64, Options{Technique: IR, Timeout: 50 * time.Millisecond,
+		Sample: &SampleOptions{Interval: 100_000, Every: 20, Warmup: 2_000}})
+	took := time.Since(start)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want the deadline", err)
+	}
+	if took > time.Second {
+		t.Fatalf("deadline error came after %v, want under 1 s", took)
 	}
 }
